@@ -84,6 +84,16 @@ class IntegralImage
      */
     double rectStddev(int x, int y, int rw, int rh) const;
 
+    /**
+     * Raw read-only tables for kernels that hoist the bounds check out
+     * of their inner loop: entry (x, y) of either table, 0 <= x <= width
+     * and 0 <= y <= height, sits at index y * stride() + x. A caller
+     * indexing them directly must prove its lookups lie in that range.
+     */
+    const int64_t *sumTable() const { return sum.data(); }
+    const int64_t *sqTable() const { return sq.data(); }
+    size_t stride() const { return static_cast<size_t>(w) + 1; }
+
   private:
     /** Table lookup with the (w+1) x (h+1) padded layout. */
     int64_t

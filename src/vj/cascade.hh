@@ -83,6 +83,12 @@ class Cascade
      * Classify the window at (wx, wy) with side window_size =
      * base * scale. Early-exits at the first failing stage; updates
      * @p stats if provided.
+     *
+     * This is the reference path: it rescales every feature per window
+     * and clamps rectangles to the image. Detector::rawHits classifies
+     * interior windows from a per-scale table that repeats this
+     * arithmetic exactly, and sends border windows here; crops and
+     * training call it directly.
      */
     bool classifyWindow(const IntegralImage &ii, int wx, int wy,
                         double scale, CascadeStats *stats = nullptr) const;

@@ -1,7 +1,10 @@
 #include "vj/detector.hh"
 
 #include <algorithm>
+#include <array>
+#include <climits>
 #include <cmath>
+#include <cstddef>
 #include <functional>
 #include <numeric>
 
@@ -9,6 +12,197 @@
 #include "exec/parallel.hh"
 
 namespace incam {
+
+namespace {
+
+/** IntegralImage::rectSum's four lookups, as offsets from an origin. */
+using Corners = std::array<ptrdiff_t, 4>;
+
+Corners
+cornerOffsets(int x, int y, int w, int h, ptrdiff_t stride)
+{
+    return {(y + h) * stride + x + w, (y + h) * stride + x,
+            y * stride + x + w, y * stride + x};
+}
+
+/** rectSum on a raw table, in the same order. */
+int64_t
+cornerSum(const int64_t *t, const Corners &c)
+{
+    return t[c[0]] - t[c[1]] - t[c[2]] + t[c[3]];
+}
+
+/**
+ * One scale of the cascade, flattened for the interior of the scan.
+ *
+ * Every rectangle of every stump is scaled and rounded once, as
+ * HaarFeature::evaluate does per window, into corner offsets from the
+ * window origin in the integral tables plus its compensated weight.
+ * reach_x/reach_y bound how far right/down any lookup goes from the
+ * origin, so a window with x + reach_x <= width and y + reach_y <=
+ * height needs no clamp and every lookup lies inside the tables.
+ * classify() repeats the reference arithmetic (Cascade::classifyWindow,
+ * windowInvNorm, HaarFeature::evaluate) operation for operation, so
+ * results and stats are bit-identical; other windows go to the
+ * reference.
+ */
+class ScaleTable
+{
+  public:
+    ScaleTable(const Cascade &cascade, const ScanScale &s, ptrdiff_t stride)
+        : norm(cornerOffsets(0, 0, s.window, s.window, stride)),
+          // window^2 is exact in a double, however it is computed.
+          window_area(static_cast<double>(s.window) * s.window),
+          reach_x(s.window), reach_y(s.window)
+    {
+        const double scale = s.scale;
+        bool negative = false;
+        for (const CascadeStage &stage : cascade.stages()) {
+            stages.push_back({stumps.size(), 0, stage.threshold});
+            for (const Stump &stump : stage.stumps) {
+                const HaarFeature &f = cascade.features()[stump.feature];
+                stumps.push_back({rects.size(), 0, stump.threshold,
+                                  stump.alpha, stump.polarity});
+                for (int r = 0; r < f.n_rects; ++r) {
+                    const WeightedRect &rect = f.rects[r];
+                    const int x =
+                        static_cast<int>(std::lround(rect.x * scale));
+                    const int y =
+                        static_cast<int>(std::lround(rect.y * scale));
+                    const int w = std::max(
+                        1, static_cast<int>(std::lround(rect.w * scale)));
+                    const int h = std::max(
+                        1, static_cast<int>(std::lround(rect.h * scale)));
+                    negative = negative || x < 0 || y < 0;
+                    reach_x = std::max(reach_x, x + w);
+                    reach_y = std::max(reach_y, y + h);
+                    const double ideal_area =
+                        static_cast<double>(rect.w) * rect.h * scale * scale;
+                    const double actual_area = static_cast<double>(w) * h;
+                    rects.push_back({cornerOffsets(x, y, w, h, stride),
+                                     static_cast<double>(rect.weight) *
+                                         ideal_area / actual_area});
+                }
+                stumps.back().rect_end = rects.size();
+            }
+            stages.back().end = stumps.size();
+        }
+        // A rectangle left of or above the window origin is not covered
+        // by the reach test, and an untrained cascade must reach the
+        // reference's assert: send every window to the reference path.
+        if (negative || stages.empty()) {
+            reach_x = INT_MAX;
+            reach_y = INT_MAX;
+        }
+    }
+
+    /** Columns 0..n-1 of the scale's grid whose reach stays inside. */
+    int
+    interiorCols(const ScanScale &s, int width) const
+    {
+        return reach_x <= width
+                   ? std::min(s.nx, (width - reach_x) / s.step + 1)
+                   : 0;
+    }
+
+    /** Whether a window row at @p y keeps its reach inside. */
+    bool
+    interiorRow(int y, int height) const
+    {
+        return reach_y <= height && y <= height - reach_y;
+    }
+
+    /**
+     * Classify the window whose top-left corner is @p sum / @p sq in the
+     * integral tables. Only valid for interior windows.
+     */
+    bool
+    classify(const int64_t *sum, const int64_t *sq,
+             CascadeStats *stats) const
+    {
+        if (stats) {
+            ++stats->windows;
+        }
+        const double inv_norm = invNorm(sum, sq);
+        for (const Stage &stage : stages) {
+            if (stats) {
+                ++stats->stages_entered;
+                stats->features_evaluated += stage.end - stage.begin;
+            }
+            double votes = 0.0;
+            for (size_t i = stage.begin; i < stage.end; ++i) {
+                const Entry &e = stumps[i];
+                double value = 0.0;
+                for (size_t r = e.rect_begin; r < e.rect_end; ++r) {
+                    value += rects[r].weight * static_cast<double>(
+                                                   cornerSum(sum, rects[r].at));
+                }
+                const double v = value * inv_norm;
+                const bool fire =
+                    e.polarity > 0 ? v < e.threshold : v >= e.threshold;
+                if (fire) {
+                    votes += e.alpha;
+                }
+            }
+            if (votes < stage.threshold) {
+                return false;
+            }
+        }
+        if (stats) {
+            ++stats->windows_accepted;
+        }
+        return true;
+    }
+
+  private:
+    /** windowInvNorm, via IntegralImage::rectStddev, on the tables. */
+    double
+    invNorm(const int64_t *sum, const int64_t *sq) const
+    {
+        const double mean =
+            static_cast<double>(cornerSum(sum, norm)) / window_area;
+        const double mean_sq =
+            static_cast<double>(cornerSum(sq, norm)) / window_area;
+        const double var = mean_sq - mean * mean;
+        const double sd = var > 0.0 ? std::sqrt(var) : 0.0;
+        if (sd < 1e-6) {
+            return 0.0;
+        }
+        return 1.0 / (window_area * sd);
+    }
+
+    struct Rect4
+    {
+        Corners at;
+        double weight; ///< rect weight, area-compensated
+    };
+
+    struct Entry
+    {
+        size_t rect_begin;
+        size_t rect_end;
+        double threshold;
+        double alpha;
+        int8_t polarity;
+    };
+
+    struct Stage
+    {
+        size_t begin;
+        size_t end;
+        double threshold;
+    };
+
+    std::vector<Rect4> rects;
+    std::vector<Entry> stumps;
+    std::vector<Stage> stages;
+    Corners norm;
+    double window_area;
+    int reach_x;
+    int reach_y;
+};
+
+} // namespace
 
 Detector::Detector(const Cascade &cascade, DetectorParams params)
     : model(cascade), conf(params)
@@ -53,9 +247,15 @@ Detector::rawHits(const ImageU8 &gray, CascadeStats *stats) const
 {
     incam_assert(gray.channels() == 1, "detector expects grayscale input");
     const IntegralImage ii(gray, conf.exec);
+    const int64_t *sum = ii.sumTable();
+    const int64_t *sq = ii.sqTable();
+    const auto stride = static_cast<ptrdiff_t>(ii.stride());
     std::vector<Rect> hits;
 
     for (const ScanScale &s : scanScales(gray.width(), gray.height())) {
+        const ScaleTable table(model, s, stride);
+        const int interior_cols = table.interiorCols(s, gray.width());
+
         // Row-band parallel scan. Hits and stats accumulate per band
         // and merge in band order, so output is identical to the serial
         // row-major scan for every thread count.
@@ -70,10 +270,22 @@ Detector::rawHits(const ImageU8 &gray, CascadeStats *stats) const
                 CascadeStats *lstats = stats ? &local : nullptr;
                 for (int64_t row = r0; row < r1; ++row) {
                     const int y = static_cast<int>(row) * s.step;
+                    // Interior windows read the tables directly; the
+                    // right/bottom border goes through the reference
+                    // classifier and its bounds-checked lookups.
+                    const int fast_cols =
+                        table.interiorRow(y, gray.height()) ? interior_cols
+                                                            : 0;
                     for (int col = 0; col < s.nx; ++col) {
                         const int x = col * s.step;
-                        if (model.classifyWindow(ii, x, y, s.scale,
-                                                 lstats)) {
+                        const ptrdiff_t origin = y * stride + x;
+                        const bool hit =
+                            col < fast_cols
+                                ? table.classify(sum + origin, sq + origin,
+                                                 lstats)
+                                : model.classifyWindow(ii, x, y, s.scale,
+                                                       lstats);
+                        if (hit) {
                             band_hits[band].push_back(
                                 Rect{x, y, s.window, s.window});
                         }

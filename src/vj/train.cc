@@ -152,11 +152,12 @@ CascadeTrainer::train(const std::vector<ImageU8> &positives,
     }
 
     std::vector<CascadeStage> stages;
-    Cascade partial(conf.base_size, pool, {});
 
     // Current negative working set, re-mined each stage.
     std::vector<ImageU8> negs;
     auto mineNegatives = [&](int wanted) {
+        // The cascade-so-far; stages only change between calls.
+        const Cascade current(conf.base_size, pool, stages);
         int attempts = 0;
         while (static_cast<int>(negs.size()) < wanted &&
                attempts < conf.mining_attempts) {
@@ -166,13 +167,7 @@ CascadeTrainer::train(const std::vector<ImageU8> &positives,
                              cand.height() == conf.base_size,
                          "negative sample size mismatch");
             // Keep only windows the cascade-so-far still accepts.
-            bool pass = true;
-            if (!stages.empty()) {
-                const Cascade current(conf.base_size, pool,
-                                      stages); // cheap: shares vectors
-                pass = current.classifyCrop(cand);
-            }
-            if (pass) {
+            if (stages.empty() || current.classifyCrop(cand)) {
                 negs.push_back(std::move(cand));
             }
         }

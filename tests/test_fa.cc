@@ -56,22 +56,22 @@ class FaFixture : public ::testing::Test
             positives.push_back(
                 toU8(renderFace(id, easyVariation(rng), 20)));
         }
-        const SecurityVideo *v = video;
-        const NegativeSource negatives = [v](Rng &r) {
+        // Random background windows from the first 40 frames, rendered
+        // once: frame() is a pure function of (seed, index).
+        std::vector<ImageU8> bg_frames;
+        for (int i = 0; i < 40; ++i) {
+            bg_frames.push_back(video->frame(i).image);
+        }
+        const NegativeSource negatives = [&bg_frames](Rng &r) {
             if (r.chance(0.5)) {
                 return toU8(renderDistractor(r.next(), 20));
             }
-            // Random background windows from empty frames.
-            const VideoFrame f =
-                v->frame(static_cast<int>(r.below(40)));
+            const ImageU8 &f = bg_frames[r.below(bg_frames.size())];
             const int side =
                 20 + static_cast<int>(r.below(40));
-            const int x = static_cast<int>(
-                r.below(f.image.width() - side));
-            const int y = static_cast<int>(
-                r.below(f.image.height() - side));
-            return resizeNearest(
-                crop(f.image, Rect{x, y, side, side}), 20, 20);
+            const int x = static_cast<int>(r.below(f.width() - side));
+            const int y = static_cast<int>(r.below(f.height() - side));
+            return resizeNearest(crop(f, Rect{x, y, side, side}), 20, 20);
         };
         CascadeTrainConfig cc;
         cc.max_features = 700;

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
 #include "bilateral/bilateral_filter.hh"
 #include "bilateral/stereo.hh"
 #include "common/rng.hh"
@@ -71,6 +75,169 @@ syntheticCascade()
     stage.stumps.push_back(stump);
     stage.threshold = 0.5;
     return Cascade(20, {f}, {stage});
+}
+
+/**
+ * A multi-stage cascade over 1-, 2- and 3-rect features, including
+ * rects on the window's right and bottom edges whose rounded extent
+ * reaches past the rounded window at some scales.
+ *
+ * Stage 0 passes windows whose mean/stddev is below 10, flat ones
+ * included (inv_norm 0 makes every value 0), so a wrong norm rule
+ * shows. Each hand-built feature then gets a stage that passes values
+ * inside a band around zero, so a value that is off either way shows in
+ * stages_entered. Boosted stages over pool features follow.
+ */
+Cascade
+multiStageCascade()
+{
+    std::vector<HaarFeature> features;
+    auto add = [&](std::initializer_list<WeightedRect> rects) {
+        HaarFeature f;
+        f.n_rects = 0;
+        for (const WeightedRect &r : rects) {
+            f.rects[f.n_rects++] = r;
+        }
+        features.push_back(f);
+    };
+    add({{0, 0, 20, 20, 1}});
+    add({{0, 0, 10, 20, 1}, {10, 0, 10, 20, -1}});
+    add({{0, 0, 20, 10, 1}, {0, 10, 20, 10, -1}});
+    add({{0, 0, 7, 20, 1}, {7, 0, 6, 20, -2}, {13, 0, 7, 20, 1}});
+    add({{13, 13, 7, 7, 1}, {3, 3, 9, 9, -1}});
+
+    Rng rng(2024);
+    std::vector<CascadeStage> stages;
+    auto stump = [&](int feature, double threshold, int8_t polarity) {
+        Stump st;
+        st.feature = feature;
+        st.threshold = threshold;
+        st.polarity = polarity;
+        st.alpha = rng.uniform(0.2, 1.5);
+        return st;
+    };
+    // Passes iff every stump fires.
+    auto all = [](std::vector<Stump> stumps) {
+        double total = 0.0;
+        for (const Stump &st : stumps) {
+            total += st.alpha;
+        }
+        return CascadeStage{std::move(stumps), total};
+    };
+    stages.push_back(all({stump(0, 10.0, 1)}));
+    for (int f = 1; f < static_cast<int>(features.size()); ++f) {
+        stages.push_back(all({stump(f, rng.uniform(0.3, 0.8), 1),
+                              stump(f, -rng.uniform(0.3, 0.8), -1)}));
+    }
+
+    const std::vector<HaarFeature> pool = enumerateFeatures(20, 3, 3);
+    for (int size : {3, 5, 8}) {
+        CascadeStage stage;
+        double total = 0.0;
+        for (int k = 0; k < size; ++k) {
+            features.push_back(pool[rng.below(pool.size())]);
+            stage.stumps.push_back(
+                stump(static_cast<int>(features.size()) - 1,
+                      rng.uniform(-0.05, 0.05), rng.below(2) ? 1 : -1));
+            total += stage.stumps.back().alpha;
+        }
+        stage.threshold = 0.3 * total;
+        stages.push_back(stage);
+    }
+    return Cascade(20, std::move(features), std::move(stages));
+}
+
+/** Smooth structure plus noise, so feature values spread both ways. */
+ImageU8
+sceneU8(int w, int h, uint64_t seed)
+{
+    Rng rng(seed);
+    ImageU8 img(w, h, 1);
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            const double v = 128.0 + 70.0 * std::sin(x / 6.0) *
+                                         std::cos(y / 4.5) +
+                             rng.uniform(-25.0, 25.0);
+            img.at(x, y) =
+                static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
+        }
+    }
+    return img;
+}
+
+/** The scan with no table: Cascade::classifyWindow at every window. */
+std::vector<Rect>
+naiveRawHits(const Cascade &cascade, const Detector &d, const ImageU8 &gray,
+             CascadeStats *stats)
+{
+    const IntegralImage ii(gray);
+    std::vector<Rect> hits;
+    for (const ScanScale &s : d.scanScales(gray.width(), gray.height())) {
+        for (int row = 0; row < s.ny; ++row) {
+            for (int col = 0; col < s.nx; ++col) {
+                const int x = col * s.step;
+                const int y = row * s.step;
+                if (cascade.classifyWindow(ii, x, y, s.scale, stats)) {
+                    hits.push_back(Rect{x, y, s.window, s.window});
+                }
+            }
+        }
+    }
+    return hits;
+}
+
+TEST(ParallelKernels, DetectorScanMatchesReferenceClassifier)
+{
+    const Cascade cascade = multiStageCascade();
+    bool saw_deep = false;
+    for (const auto &[w, h] : {std::pair{97, 61}, std::pair{41, 23},
+                              std::pair{160, 120}}) {
+        const ImageU8 scene = sceneU8(w, h, static_cast<uint64_t>(w * h));
+        const ImageU8 flat(w, h, 1, 77); // zero variance: inv_norm 0
+        for (const ImageU8 *gray : {&scene, &flat}) {
+            for (bool adaptive : {false, true}) {
+                for (double factor : {1.1, 1.25}) {
+                    DetectorParams p;
+                    p.adaptive_step = adaptive;
+                    p.static_step = 3;
+                    p.adaptive_frac = 0.08;
+                    p.scale_factor = factor;
+                    CascadeStats want;
+                    const std::vector<Rect> expected = naiveRawHits(
+                        cascade, Detector(cascade, p), *gray, &want);
+                    if (gray == &scene) {
+                        EXPECT_GT(want.stages_entered, 2 * want.windows);
+                        saw_deep = saw_deep || (want.windows_accepted > 0 &&
+                                                want.windows_accepted <
+                                                    want.windows);
+                    }
+                    for (int threads : {1, 2, 4}) {
+                        p.exec = ExecPolicy{threads, 2};
+                        CascadeStats got;
+                        const std::vector<Rect> hits =
+                            Detector(cascade, p).rawHits(*gray, &got);
+                        const std::string where =
+                            std::to_string(w) + "x" + std::to_string(h) +
+                            (gray == &flat ? " flat" : " scene") +
+                            (adaptive ? " adaptive" : " static") +
+                            " factor " + std::to_string(factor) + ", " +
+                            std::to_string(threads) + " threads";
+                        ASSERT_EQ(hits, expected) << where;
+                        EXPECT_EQ(got.windows, want.windows) << where;
+                        EXPECT_EQ(got.stages_entered, want.stages_entered)
+                            << where;
+                        EXPECT_EQ(got.features_evaluated,
+                                  want.features_evaluated)
+                            << where;
+                        EXPECT_EQ(got.windows_accepted,
+                                  want.windows_accepted)
+                            << where;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(saw_deep) << "cascade never split windows at the last stage";
 }
 
 TEST(ParallelKernels, IntegralImageMatchesSerialExactly)
