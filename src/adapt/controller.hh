@@ -167,8 +167,9 @@ class AdaptiveController
      * Clock decisions from an external trace clock instead of the
      * frame clock — for *paced* runs, whose source emission rate
      * varies with the conditions (a backlogged uplink stalls the
-     * source, so frame ids stop tracking trace time). Typically
-     * DynamicLink::traceTime. Trades the frame clock's bit-exact
+     * source, so frame ids stop tracking trace time). Typically the
+     * paced SharedLink's model time, (clock now - start) / time_scale.
+     * Trades the frame clock's bit-exact
      * reproducibility for wall-accurate decision timing.
      */
     void useTraceClock(std::function<double()> now);

@@ -9,7 +9,6 @@
 #include "exec/thread_pool.hh"
 #include "sim/clock.hh"
 #include "sim/engine.hh"
-#include "trace/dynamic_link.hh"
 #include "trace/trace.hh"
 
 namespace incam {
@@ -112,16 +111,6 @@ assembleReport(const FleetOptions &opts, const NetworkLink &net,
 } // namespace
 
 FleetRunReport
-CameraFleet::run()
-{
-    RunOptions options;
-    options.mode = opts.threaded_stages
-                       ? ExecutionMode::ThreadedStages
-                       : ExecutionMode::ThreadPerCamera;
-    return run(options);
-}
-
-FleetRunReport
 CameraFleet::run(const RunOptions &options)
 {
     incam_assert(!consumed, "a CameraFleet instance is single-use");
@@ -168,23 +157,8 @@ CameraFleet::runThreaded(const RunOptions &options,
             PipelineEvaluator(cam.pipeline, net).cutBytes(cam.config).b());
     }
     link_opts.burst_bytes = opts.link_burst_frames * max_cut_bytes;
-    // Start from the trace's opening conditions when one is attached,
-    // so the first frames are not priced at the stationary link.
-    SharedLink shared(opts.network_trace != nullptr
-                          ? opts.network_trace->at(Time{})
-                          : net,
-                      link_opts);
-    std::unique_ptr<DynamicLink> dyn;
-    if (opts.network_trace != nullptr) {
-        DynamicLink::Options dopts;
-        dopts.pace = opts.pace_link;
-        dopts.time_scale = opts.time_scale;
-        dyn = std::make_unique<DynamicLink>(*opts.network_trace, shared,
-                                            dopts);
-    }
-    UplinkArbiter *arbiter =
-        dyn != nullptr ? static_cast<UplinkArbiter *>(dyn.get())
-                       : &shared;
+    link_opts.trace = opts.network_trace;
+    SharedLink shared(net, link_opts);
 
     std::vector<std::unique_ptr<StreamingPipeline>> pipes;
     pipes.reserve(n);
@@ -193,7 +167,7 @@ CameraFleet::runThreaded(const RunOptions &options,
             cam.pipeline, cam.config, net,
             cameraRuntimeOptions(opts, cam));
         const int endpoint = shared.addEndpoint(cam.name, cam.weight);
-        sp->attachUplinkArbiter(arbiter, endpoint);
+        sp->attachUplinkArbiter(&shared, endpoint);
         if (opts.faults != nullptr) {
             // The camera identifies to the shared fault oracle as its
             // fleet index, so crash windows and hash streams are per
@@ -210,9 +184,7 @@ CameraFleet::runThreaded(const RunOptions &options,
         }
         pipes.push_back(std::move(sp));
     }
-    if (dyn != nullptr) {
-        dyn->start(); // trace time zero = run start, not first frame
-    }
+    shared.start(); // trace time zero = run start, not first frame
 
     std::vector<RuntimeReport> reports(n);
     AnnotatedMutex error_mu;

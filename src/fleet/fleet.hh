@@ -10,15 +10,15 @@
  * and VR rigs, different configs, cuts, frame sizes, frame counts and
  * weights, side by side under one resource budget.
  *
- * Two execution shapes:
+ * Threaded execution shapes (run(RunOptions) lists them all):
  *
- *  - *Inline* (default): one thread per camera runs the whole chain
+ *  - *ThreadPerCamera*: one thread per camera runs the whole chain
  *    serially (StreamingPipeline::runInline). Token buckets refill in
  *    parallel wall time, so each camera still exhibits min(stage
  *    rates, granted link rate); a fleet scales to
  *    ThreadPool::kMaxWorkers cameras.
  *
- *  - *Threaded stages*: every stage of every camera gets its own
+ *  - *ThreadedStages*: every stage of every camera gets its own
  *    concurrent loop with bounded queues between stages — the full
  *    single-pipeline machinery, flattened into one fork-join job.
  *    Richer (per-stage backpressure, queue depths) but each camera
@@ -81,18 +81,15 @@ struct FleetOptions
     double time_scale = 1.0;
     bool pace_stages = true;
     bool pace_link = true;
-    /** Run every stage of every camera as its own thread (small rigs)
-     *  instead of one serial loop per camera. */
-    bool threaded_stages = false;
     int queue_capacity = 8;
     double stage_burst_frames = 2.0;
     double link_burst_frames = 2.0;
     /**
-     * Time-varying link conditions: the run wraps its SharedLink in a
-     * trace/DynamicLink that pushes each trace segment's capacity and
-     * per-bit price into the arbiter as the schedule advances. The
-     * trace must outlive the run. Null = stationary link (the fleet's
-     * NetworkLink as constructed).
+     * Time-varying link conditions: the shared medium's capacity and
+     * per-bit price follow this schedule (trace time zero = run
+     * start) in every execution shape. The trace must outlive the
+     * run. Null = stationary link (the fleet's NetworkLink as
+     * constructed).
      */
     const NetworkTrace *network_trace = nullptr;
     /** Frame clock forwarded to every camera's RuntimeOptions. */
@@ -160,13 +157,6 @@ class CameraFleet
      * wound down (surviving cameras complete normally).
      */
     FleetRunReport run(const RunOptions &options);
-
-    /**
-     * Deprecated shape-specific entry point; forwards to run(RunOptions)
-     * with ThreadedStages or ThreadPerCamera per
-     * FleetOptions::threaded_stages. Prefer run(RunOptions).
-     */
-    FleetRunReport run();
 
   private:
     FleetRunReport runThreaded(const RunOptions &options,

@@ -1,50 +1,48 @@
 /**
  * @file
- * SharedLink — a thread-safe weighted byte arbiter over one NetworkLink.
+ * SharedLink — the thread-safe face of the shared uplink.
  *
  * A fleet of cameras shares one physical uplink (the WISPCam swarm's
- * RF reader, the VR rig's 25 GbE trunk), and whoever divides the
- * medium decides each camera's goodput share. SharedLink divides it
- * by *fluid* weighted fair sharing (generalized processor sharing):
- * every endpoint with a transmission in flight drains concurrently at
- * goodput x weight / (total active weight), and acquire(bytes)
- * blocks its caller until that camera's bytes have drained. When an
- * endpoint's transmission finishes or a new one arrives, the drain
- * rates re-divide instantly, so backlogged endpoints converge to
- * goodput shares proportional to their weights, endpoints demanding
- * less keep their demand, and the residual redistributes — weighted
- * max-min fairness, precisely the allocation core/fleet_model.hh
- * predicts.
+ * RF reader, the VR rig's 25 GbE trunk). How that medium divides —
+ * fluid weighted fair sharing (generalized processor sharing), the
+ * StrictPriority tiers, a NetworkTrace's piecewise capacity and
+ * per-bit price — is modeled once, by sim::SimLink. SharedLink owns
+ * one SimLink behind one mutex so camera threads can block on it:
  *
- * The fluid model (rather than serialized per-frame grants) matters
- * because every camera keeps at most one transmission in flight: a
- * serialized arbiter decides only among the requests *queued at a
- * frame boundary*, and a camera that re-arrives a microsecond after
- * each grant degenerates to round-robin no matter its weight. Fluid
- * sharing has no boundaries to race: weights hold at every instant.
+ *  - *Paced* acquire() maps the clock onto model time,
+ *    (now - start()) / time_scale, submits the transmission to the
+ *    core and sleeps until the core's next departure instant — on a
+ *    condition variable under a WallClock, by advancing the cursor on
+ *    a VirtualClock — settling the core on every wake, until its own
+ *    completion arrives. Whichever thread settles hands each
+ *    departure to its endpoint's slot and wakes every waiter, so a
+ *    waiter whose share just grew re-derives its finish at once and a
+ *    lower StrictPriority tier simply sleeps until the tier above
+ *    drains.
  *
- * Pacing is debt-based like runtime/pacer.hh: a request keeps
- * draining while its camera oversleeps, and the overshoot is banked
- * (bounded by a burst) against the camera's next transmission, so
- * sleep jitter never accumulates into rate error — the property the
- * fleet's measured-vs-model comparison depends on.
+ *  - *Counting* acquire() (pace = false) never waits: it is
+ *    SimLink::price() + countGrant(), the same two calls the
+ *    discrete-event engine makes, so counting-mode energies match
+ *    across execution shapes by construction.
  *
- * StrictPriority drains only the highest-priority tier with traffic
- * in flight: lower tiers stall entirely (and can starve) while a
- * higher tier transmits, ties sharing fairly within their tier.
+ * Why fluid sharing rather than serialized per-frame grants: every
+ * camera keeps at most one transmission in flight, so a serialized
+ * arbiter decides only among requests queued at a frame boundary, and
+ * a camera that re-arrives a microsecond after each grant degenerates
+ * to round-robin no matter its weight. Fluid sharing has no
+ * boundaries to race: weights hold at every instant.
+ *
+ * Pacing is debt-based like runtime/pacer.hh: every transmission is
+ * submitted with burst_bytes of hold room, so while a camera's thread
+ * wakes after its departure the camera keeps its share, draining the
+ * next frame's leading bytes into a bank (bounded by the burst) — host
+ * sleep jitter never accumulates into rate error (the property the
+ * fleet's measured-vs-model comparison relies on), and siblings never
+ * see capacity the late camera also claims.
  *
  * An endpoint that finishes (or dies) simply stops acquiring —
  * release() marks it done for reporting — and sharing is
- * work-conserving: its share flows to the survivors immediately, and
- * nothing ever blocks on a camera that no longer competes.
- *
- * Time comes from an injected sim::Clock (Options::clock). On the
- * default WallClock, waiters block on a condition variable exactly as
- * before. On a VirtualClock the arbiter is single-threaded by the
- * clock's contract, so acquire() advances model time synchronously
- * instead of waiting — the fleet-scale discrete-event engine has its
- * own virtual-time arbiter (sim/SimLink), but this path lets a solo
- * pipeline carry its SharedLink into a DiscreteEvent run.
+ * work-conserving: its share flows to the survivors immediately.
  */
 
 #ifndef INCAM_FLEET_SHARED_LINK_HH
@@ -60,6 +58,7 @@
 #include "core/network.hh"
 #include "runtime/report.hh"
 #include "runtime/uplink.hh"
+#include "sim/sim_link.hh"
 
 namespace incam {
 
@@ -67,7 +66,7 @@ namespace sim {
 class Clock; // sim/clock.hh
 }
 
-/** Fluid weighted-fair byte arbiter shared by a fleet's uplinks. */
+/** Blocking, thread-safe adapter over one sim::SimLink. */
 class SharedLink : public UplinkArbiter
 {
   public:
@@ -75,7 +74,8 @@ class SharedLink : public UplinkArbiter
     {
         SharePolicy policy = SharePolicy::Fair;
 
-        /** Stretch transmission times like RuntimeOptions::time_scale. */
+        /** Stretch transmission times like RuntimeOptions::time_scale:
+         *  one model second takes time_scale clock seconds. */
         double time_scale = 1.0;
 
         /**
@@ -87,14 +87,20 @@ class SharedLink : public UplinkArbiter
 
         /**
          * Per-endpoint overshoot bank in bytes (the radio's frame
-         * buffer): sleep overshoot keeps draining and credits the
-         * next transmission up to this bound. <= 0 sizes it
-         * automatically to two of the endpoint's first frame.
+         * buffer): bytes that drained while the camera overslept
+         * credit its next transmission, up to this bound. <= 0 sizes
+         * it to two of the current transmission.
          */
         double burst_bytes = 0.0;
 
         /** Time source; null uses the process WallClock. */
         sim::Clock *clock = nullptr;
+
+        /**
+         * Time-varying capacity and per-bit price; trace time zero is
+         * start(). Must outlive the link. Null = the stationary link.
+         */
+        const NetworkTrace *trace = nullptr;
     };
 
     explicit SharedLink(NetworkLink link) : SharedLink(link, Options()) {}
@@ -109,10 +115,17 @@ class SharedLink : public UplinkArbiter
     int addEndpoint(std::string name, double weight = 1.0);
 
     /**
-     * Block until @p bytes of @p endpoint's traffic have drained.
-     * Returns the camera-side radio energy of the transmission,
-     * integrated against the link state actually in force while each
-     * byte drained (setLink may change it mid-transmission).
+     * Pin model (trace) time zero to this clock instant. Implicit on
+     * the first paced acquire; call it just before a run starts so
+     * camera start-up cost doesn't skew the trace schedule.
+     */
+    void start();
+
+    /**
+     * Paced: block until @p endpoint's share of the medium has drained
+     * @p bytes, and return the radio energy integrated against the
+     * per-bit price in force while each byte drained. Counting: price
+     * at @p trace_time_hint (see runtime/uplink.hh) and return.
      */
     Energy acquire(int endpoint, double bytes,
                    double trace_time_hint = -1.0) override;
@@ -120,70 +133,36 @@ class SharedLink : public UplinkArbiter
     /** Mark the endpoint's stream complete (idempotent). */
     void release(int endpoint) override;
 
-    /**
-     * Live reconfiguration: replace the link state (capacity and
-     * per-bit energy) from this instant on. History is settled first —
-     * bytes already drained were drained (and priced) at the old rate;
-     * in-flight transmissions continue at the new one. Thread-safe
-     * against concurrent acquires; the trace layer's DynamicLink calls
-     * this on every trace-segment boundary.
-     */
-    void setLink(const NetworkLink &link);
-
-    /** setLink, changing only the capacity. */
-    void setCapacity(Bandwidth bandwidth);
-
-    /**
-     * Live share-weight change for one endpoint (re-prioritizing a
-     * camera mid-run). Settles history at the old weights first.
-     */
-    void setWeight(int endpoint, double weight);
-
-    /** Current link state (thread-safe snapshot). */
-    NetworkLink link() const;
-    const Options &options() const { return opts; }
-
-    /** Per-endpoint accounting snapshot (thread-safe). */
+    /** Per-endpoint accounting snapshot (thread-safe); wait_seconds
+     *  are model seconds from submit to departure. */
     std::vector<LinkEndpointReport> report() const;
 
   private:
-    struct Endpoint
+    /** Where a paced endpoint's departure waits for its owner. */
+    struct Slot
     {
-        std::string name;
-        double weight = 1.0;
-        bool active = false;    ///< a transmission is in flight
-        double remaining = 0.0; ///< bytes left to drain (may go < 0)
-        double bank = 0.0;      ///< banked overshoot, bounded by burst
-        /** Radio joules integrated for the in-flight transmission at
-         *  the per-bit price in force while each byte drained. */
-        double tx_energy_j = 0.0;
-        int64_t grants = 0;
-        double bytes = 0.0;
-        double wait_seconds = 0.0;
-        bool released = false;
+        bool done = false; ///< completion arrived, owner not yet woken
+        sim::SimLink::Completion completion;
     };
 
-    /** Drain every eligible in-flight transmission for the clock time
-     *  elapsed since the last call. */
-    void advanceLocked(double now) INCAM_REQUIRES(mu);
+    void startLocked() INCAM_REQUIRES(mu);
+    /** The clock's current instant in model seconds. */
+    double modelNowLocked() INCAM_REQUIRES(mu);
+    /** Hand departures to their slots and wake every waiter. */
+    void
+    dispatchLocked(const std::vector<sim::SimLink::Completion> &popped)
+        INCAM_REQUIRES(mu);
 
-    /** This endpoint's current drain rate in bytes/s (0 while a
-     *  higher StrictPriority tier transmits). */
-    double drainRateLocked(const Endpoint &ep) const INCAM_REQUIRES(mu);
-
+    const Options opts;
+    sim::Clock *const clk; ///< non-owning time source
     mutable AnnotatedMutex mu;
-    NetworkLink net INCAM_GUARDED_BY(mu);
-    Options opts;          ///< immutable after construction
-    sim::Clock *clk;       ///< non-owning time source
-    /** goodput / time_scale, real bytes/s. */
-    double rate_bps INCAM_GUARDED_BY(mu) = 0.0;
     std::condition_variable cv;
-    /** Deque: Endpoint addresses stay stable across addEndpoint, so a
-     *  waiter blocked in acquire() never holds a dangling reference. */
-    std::deque<Endpoint> endpoints INCAM_GUARDED_BY(mu);
-    /** Clock seconds of the last fluid drain. */
-    double last_advance INCAM_GUARDED_BY(mu) = 0.0;
-    bool clock_started INCAM_GUARDED_BY(mu) = false;
+    sim::SimLink core INCAM_GUARDED_BY(mu);
+    /** Deque: a waiter's Slot reference survives addEndpoint. */
+    std::deque<Slot> slots INCAM_GUARDED_BY(mu);
+    bool started INCAM_GUARDED_BY(mu) = false;
+    /** Clock instant of model time zero. */
+    double epoch0 INCAM_GUARDED_BY(mu) = 0.0;
 };
 
 } // namespace incam

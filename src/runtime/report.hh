@@ -203,7 +203,7 @@ struct LinkEndpointReport
     double weight = 1.0;
     int64_t grants = 0;       ///< transmissions completed
     DataSize bytes;           ///< bytes granted in total
-    double wait_seconds = 0.0;///< time spent blocked in acquire()
+    double wait_seconds = 0.0;///< model seconds, submit to departure
     bool released = false;    ///< endpoint declared its stream done
 };
 

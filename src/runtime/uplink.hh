@@ -2,14 +2,18 @@
  * @file
  * The audited uplink-arbitration contract.
  *
- * Three components implement or consume shared-uplink arbitration —
- * SharedLink (fluid GPS across a fleet), DynamicLink (trace-driven
- * time-varying capacity, solo or wrapping a SharedLink), and the
- * pipeline's delivery loop (retry budgets under a DeliveryPolicy).
- * Their common interface used to live inline in runtime.hh with the
- * semantics scattered across the implementations; this header is the
- * single place the contract is stated, and every implementation is
- * audited against the rules below.
+ * One component implements shared-uplink arbitration and one consumes
+ * it: fleet/SharedLink, and the pipeline's delivery loop (retry
+ * budgets under a DeliveryPolicy). This header is the single place
+ * the contract between them is stated.
+ *
+ * There is one model of the medium. SharedLink is a thin adapter —
+ * a mutex, a condition variable, per-endpoint completion slots — over
+ * one sim::SimLink, the GPS virtual-time core the discrete-event
+ * engine drives directly. Fair sharing, StrictPriority tiers, a
+ * NetworkTrace's piecewise capacity and every price live in that core
+ * alone, so the threaded and discrete-event shapes agree by
+ * construction.
  *
  * ## The UplinkArbiter contract
  *
@@ -21,15 +25,15 @@
  *    blocks until the endpoint's fluid share of the link has drained
  *    `bytes`, and prices each drained byte at the per-bit cost of the
  *    link state in force **while it drained** — a transmission
- *    spanning a capacity change is priced piecewise. Wall-clock
- *    arbiters block on a condition variable; a virtual-clock arbiter
- *    advances model time synchronously instead (single-threaded by
- *    the VirtualClock contract).
+ *    spanning a trace segment boundary is priced piecewise.
+ *    Wall-clock arbiters block on a condition variable; a
+ *    virtual-clock arbiter advances model time synchronously instead
+ *    (single-threaded by the VirtualClock contract).
  *
  *  - *Counting mode* (pace=false): acquire() returns immediately,
  *    pricing the whole transmission at one link state: the trace
  *    state at `trace_time_hint` when a hint >= 0 is given and the
- *    arbiter is trace-driven, else the arbiter's current link state.
+ *    arbiter follows a trace, else its stationary link.
  *    This makes counting-mode energies a pure function of (frame id,
  *    bytes, trace) — independent of host timing and of execution
  *    shape, which is what the cross-shape bit-equivalence tests rely
@@ -49,16 +53,6 @@
  * release() twice, or for an endpoint that never transmitted, is
  * harmless. The runtime guarantees release on every exit path of a
  * run (normal completion, deadline, exception).
- *
- * **Live reconfiguration settles history first.** setLink() /
- * setCapacity() / setWeight() on an arbiter take effect *from the
- * current instant*: the implementation must first advance (settle)
- * all in-flight transmissions' progress under the *old* rates up to
- * now, then swap the parameter, then wake any waiters so they
- * re-derive their finish times. Bytes drained before the call are
- * never repriced. This is what makes a NetworkTrace driving
- * setLink() mid-run equivalent to a link whose capacity is a step
- * function of time.
  *
  * **Thread safety.** All methods may be called concurrently from any
  * camera thread; implementations serialize internally. The ordering
@@ -87,7 +81,7 @@ namespace incam {
 /**
  * Arbitrates a shared uplink among registered endpoints. See the file
  * comment for the full audited contract (pricing, release,
- * live-reconfiguration, thread-safety).
+ * thread-safety).
  */
 class UplinkArbiter
 {

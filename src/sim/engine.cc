@@ -65,11 +65,7 @@ SimEngine::run()
             if (ev.payload != link.version()) {
                 break; // superseded by a later submit/departure
             }
-            link.advanceTo(ev.t);
-            for (const SimLink::Completion &c : link.takeCompleted()) {
-                resolveAttempt(cams[static_cast<size_t>(c.endpoint)],
-                               c.depart_t, c.energy);
-            }
+            resolveDepartures(link.advanceTo(ev.t));
             scheduleDeparture();
             break;
           }
@@ -176,8 +172,22 @@ SimEngine::startAttempt(Cam &cam, double t)
     cam.clock.advanceTo(t);
     ++cam.out.attempts;
     cam.sp->obsTxAttempt(cam.frame, cam.out.attempts);
-    link.submit(cam.index, cam.frame.bytes.b(), t);
+    // Settling the medium to t may pop sibling departures (often one
+    // within rounding slop of t): resolve them now, at their own
+    // departure instants, not at some later departure event.
+    resolveDepartures(
+        link.submit(cam.index, cam.frame.bytes.b(), t));
     scheduleDeparture();
+}
+
+void
+SimEngine::resolveDepartures(
+    const std::vector<SimLink::Completion> &popped)
+{
+    for (const SimLink::Completion &c : popped) {
+        resolveAttempt(cams[static_cast<size_t>(c.endpoint)],
+                       c.depart_t, c.energy);
+    }
 }
 
 void

@@ -139,6 +139,8 @@ class SimEngine
     void countingDelivery(Cam &cam);
     void startAttempt(Cam &cam, double t);
     void resolveAttempt(Cam &cam, double t, Energy energy);
+    /** Resume every camera whose transmission just departed. */
+    void resolveDepartures(const std::vector<SimLink::Completion> &popped);
     void scheduleSource(Cam &cam);
     void scheduleDeparture();
     void finishCamera(Cam &cam);

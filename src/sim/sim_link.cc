@@ -78,7 +78,7 @@ SimLink::pieceAt(double t) const
         p.until = kInf; // a non-periodic last segment holds forever
     }
     // Floating-point edge: sitting exactly on a boundary must still
-    // make forward progress (cf. DynamicLink::drainLocked).
+    // make forward progress.
     p.until = std::max(p.until, t + 1e-12);
     return p;
 }
@@ -113,10 +113,11 @@ SimLink::tierOf(const Ep &ep)
     return tiers[rank];
 }
 
-void
-SimLink::submit(int endpoint, double bytes, double t)
+std::vector<SimLink::Completion>
+SimLink::submit(int endpoint, double bytes, double t, double hold)
 {
     incam_assert(bytes >= 0.0, "negative transmission size");
+    incam_assert(hold >= 0.0, "negative hold room");
     incam_assert(endpoint >= 0 &&
                      static_cast<size_t>(endpoint) < endpoints.size(),
                  "unknown endpoint ", endpoint);
@@ -125,48 +126,121 @@ SimLink::submit(int endpoint, double bytes, double t)
                  last_t, ": events processed out of order");
     // Settle history first: bytes drained before this arrival drained
     // under the old active set (may pop departures at earlier times).
-    advanceTo(std::max(t, last_t));
+    std::vector<Completion> popped = advanceTo(std::max(t, last_t));
     Ep &ep = endpoints[static_cast<size_t>(endpoint)];
     incam_assert(!ep.active, "endpoint ", endpoint,
                  " has concurrent transmissions (uplinks are serial)");
     Tier &tier = tierOf(ep);
+    // Bytes banked by an earlier hold cover the front of this
+    // transmission (possibly all of it), at the price they drained at.
+    const double covered = std::min(bytes, ep.bank);
+    ep.prepaid_j = 0.0;
+    if (covered > 0.0) {
+        ep.prepaid_j = ep.bank_j * (covered / ep.bank);
+        ep.bank -= covered;
+        ep.bank_j -= ep.prepaid_j;
+    }
+    ep.hold = std::max(0.0, hold - ep.bank);
     ep.active = true;
     ep.inflight = bytes;
     ep.submit_t = t;
     ep.s0 = tier.s;
-    tier.heap.push(
-        HeapItem{tier.v + bytes / ep.gps_w, next_seq++, endpoint});
+    ep.seq = next_seq++;
+    tier.heap.push(HeapItem{tier.v + (bytes - covered) / ep.gps_w,
+                            ep.seq, endpoint});
     tier.weight_sum += ep.gps_w;
     ++ver;
+    return popped;
 }
 
 void
-SimLink::popTop(Tier &tier, double t_dep)
+SimLink::popTop(Tier &tier, double t_dep, std::vector<Completion> &popped)
 {
-    tier.v = tier.heap.top().f;
     const HeapItem item = tier.heap.top();
     tier.heap.pop();
+    tier.v = item.f;
     Ep &ep = endpoints[static_cast<size_t>(item.endpoint)];
-    Completion c;
-    c.endpoint = item.endpoint;
-    c.depart_t = t_dep;
-    c.energy = Energy::joules(ep.gps_w * (tier.s - ep.s0) * 8.0);
-    ep.active = false;
-    tier.weight_sum -= ep.gps_w;
-    if (tier.heap.empty()) {
-        tier.weight_sum = 0.0; // kill float residue
+    if (ep.holding) {
+        // The hold room ran out before the caller collected: all of
+        // it drained ahead.
+        ep.bank += ep.hold;
+        ep.bank_j += ep.gps_w * (tier.s - ep.s0) * 8.0;
+        ep.holding = false;
+        deactivate(ep, tier);
+    } else {
+        Completion c;
+        c.endpoint = item.endpoint;
+        c.depart_t = t_dep;
+        c.energy = Energy::joules(ep.gps_w * (tier.s - ep.s0) * 8.0 +
+                                  ep.prepaid_j);
+        ++ep.grants;
+        ep.bytes += ep.inflight;
+        ep.wait_seconds += t_dep - ep.submit_t;
+        ep.inflight = 0.0;
+        popped.push_back(c);
+        if (ep.hold > 0.0) {
+            // Departed, but the radio keeps streaming ahead from its
+            // buffer — holding its share — until the caller collects.
+            ep.holding = true;
+            ep.v0 = tier.v;
+            ep.s0 = tier.s;
+            ep.seq = next_seq++;
+            tier.heap.push(HeapItem{tier.v + ep.hold / ep.gps_w, ep.seq,
+                                    item.endpoint});
+        } else {
+            deactivate(ep, tier);
+        }
     }
-    ++ep.grants;
-    ep.bytes += ep.inflight;
-    ep.wait_seconds += t_dep - ep.submit_t;
-    ep.inflight = 0.0;
-    done.push_back(std::move(c));
+    dropStale(tier);
     ++ver;
 }
 
 void
+SimLink::deactivate(Ep &ep, Tier &tier)
+{
+    ep.active = false;
+    tier.weight_sum -= ep.gps_w;
+}
+
+void
+SimLink::dropStale(Tier &tier)
+{
+    // Holds collect() ended early leave their heap items behind; drop
+    // them as they surface so a heap's top is always a live drain.
+    while (!tier.heap.empty()) {
+        const HeapItem &top = tier.heap.top();
+        const Ep &owner = endpoints[static_cast<size_t>(top.endpoint)];
+        if (owner.active && owner.seq == top.seq) {
+            return;
+        }
+        tier.heap.pop();
+    }
+    tier.weight_sum = 0.0; // idle: kill float residue
+}
+
+void
+SimLink::collect(int endpoint)
+{
+    incam_assert(endpoint >= 0 &&
+                     static_cast<size_t>(endpoint) < endpoints.size(),
+                 "unknown endpoint ", endpoint);
+    Ep &ep = endpoints[static_cast<size_t>(endpoint)];
+    if (!ep.holding) {
+        return;
+    }
+    Tier &tier = tierOf(ep);
+    ep.bank += std::min(ep.hold, (tier.v - ep.v0) * ep.gps_w);
+    ep.bank_j += ep.gps_w * (tier.s - ep.s0) * 8.0;
+    ep.holding = false;
+    deactivate(ep, tier);
+    dropStale(tier);
+    ++ver;
+}
+
+std::vector<SimLink::Completion>
 SimLink::advanceTo(double t)
 {
+    std::vector<Completion> popped;
     for (;;) {
         Tier *tier = activeTier();
         // A transmission whose virtual finish is already reached (to
@@ -177,11 +251,11 @@ SimLink::advanceTo(double t)
         if (tier != nullptr &&
             tier->heap.top().f - tier->v <=
                 vSlop(tier->heap.top().f)) {
-            popTop(*tier, last_t);
+            popTop(*tier, last_t, popped);
             continue;
         }
         if (last_t >= t) {
-            return;
+            return popped;
         }
         const Piece p = pieceAt(last_t);
         const double end = std::min(t, p.until);
@@ -203,7 +277,7 @@ SimLink::advanceTo(double t)
                 last_t + need_v * tier->weight_sum / p.rate_bps;
             tier->s += p.ebit_j * need_v;
             last_t = t_dep;
-            popTop(*tier, t_dep);
+            popTop(*tier, t_dep, popped);
             continue;
         }
         tier->v += dv_cap;
@@ -239,14 +313,6 @@ SimLink::nextDepartureTime() const
     }
 }
 
-std::vector<SimLink::Completion>
-SimLink::takeCompleted()
-{
-    std::vector<Completion> out;
-    out.swap(done);
-    return out;
-}
-
 Energy
 SimLink::price(double bytes, double trace_time_hint)
 {
@@ -254,9 +320,9 @@ SimLink::price(double bytes, double trace_time_hint)
     if (opts.trace == nullptr) {
         return fixed.transferEnergy(DataSize::bytes(bytes));
     }
-    // Mirror DynamicLink's counting mode: price at the frame-clock
-    // hint when present (bit-deterministic), else at the occupancy
-    // timeline, which the grant then advances by transfer time.
+    // Price at the frame-clock hint when present (bit-deterministic),
+    // else at the occupancy timeline, which the grant then advances by
+    // transfer time.
     const double t =
         trace_time_hint >= 0.0 ? trace_time_hint : count_free_t;
     const NetworkLink &l = opts.trace->at(Time::seconds(t));

@@ -703,7 +703,9 @@ TEST(DegradeToLocal, FleetDegradesAndHealsUnderSharedBlackout)
         };
         fleet.addCamera(std::move(cam));
     }
-    const FleetRunReport rep = fleet.run();
+    RunOptions ro;
+    ro.mode = ExecutionMode::ThreadPerCamera;
+    const FleetRunReport rep = fleet.run(ro);
 
     // Ticker-driven degrade + heal, fleet-wide.
     EXPECT_EQ(ctl.switches(), 2);

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the fleet layer: the SharedLink arbiter's share policies,
- * the CameraFleet runtime in both execution shapes, the analytical
- * fleet model, and the fleet-level configuration optimizer.
+ * Tests for the fleet layer: the SharedLink arbiter's share policies
+ * and trace pricing, the CameraFleet runtime in its execution shapes,
+ * the analytical fleet model, and the fleet-level configuration
+ * optimizer.
  *
  * Like test_runtime.cc, timing assertions appear only where the
  * debt-based pacing makes long-run rates exact, and carry generous
@@ -19,8 +20,11 @@
 
 #include "core/fleet_model.hh"
 #include "fa/scenario.hh"
+#include "fault/fault.hh"
 #include "fleet/fleet.hh"
 #include "fleet/shared_link.hh"
+#include "sim/clock.hh"
+#include "trace/trace.hh"
 #include "vr/scenario.hh"
 
 namespace incam {
@@ -35,13 +39,22 @@ relError(double measured, double expected)
 
 /** A link whose numbers are easy to reason about in tests. */
 NetworkLink
-testLink(double bytes_per_sec)
+testLink(double bytes_per_sec, double nj_per_bit = 1.0)
 {
     NetworkLink l;
     l.name = "test link";
     l.bandwidth = Bandwidth::bytesPerSec(bytes_per_sec);
-    l.energy_per_bit = Energy::nanojoules(1.0);
+    l.energy_per_bit = Energy::nanojoules(nj_per_bit);
     return l;
+}
+
+/** Run options selecting one execution shape. */
+RunOptions
+shape(ExecutionMode mode)
+{
+    RunOptions ro;
+    ro.mode = mode;
+    return ro;
 }
 
 /**
@@ -200,6 +213,67 @@ TEST(SharedLink, CountingModeAccountsWithoutPacing)
     EXPECT_TRUE(rep[0].released);
 }
 
+TEST(SharedLink, TraceCountingPricesAtTheFrameClock)
+{
+    const NetworkTrace t = NetworkTrace::steps(
+        testLink(1000.0, 10.0), {1.0, 0.5}, Time::seconds(10.0));
+    SharedLink::Options opts;
+    opts.pace = false;
+    opts.trace = &t;
+    SharedLink link(testLink(1000.0, 10.0), opts);
+    const int e = link.addEndpoint("cam");
+
+    // Frame pinned at t=2 s: segment 0 pricing, exactly.
+    const Energy e0 = link.acquire(e, 100.0, 2.0);
+    EXPECT_DOUBLE_EQ(e0.nj(), 100.0 * 8.0 * 10.0);
+    // Frame pinned at t=15 s: segment 1 (half bandwidth, 2x price).
+    const Energy e1 = link.acquire(e, 100.0, 15.0);
+    EXPECT_DOUBLE_EQ(e1.nj(), 100.0 * 8.0 * 20.0);
+}
+
+TEST(SharedLink, TraceCountingWithoutHintAdvancesOccupancy)
+{
+    // 1000 B/s for 1 s, then 100 B/s. Three 500-byte frames occupy
+    // the timeline back to back: [0,0.5) and [0.5,1.0) in segment 0,
+    // then segment 1.
+    const NetworkTrace t = NetworkTrace::steps(
+        testLink(1000.0, 1.0), {1.0, 0.1}, Time::seconds(1.0));
+    SharedLink::Options opts;
+    opts.pace = false;
+    opts.trace = &t;
+    SharedLink link(testLink(1000.0, 1.0), opts);
+    const int e = link.addEndpoint("cam");
+    EXPECT_DOUBLE_EQ(link.acquire(e, 500.0).nj(), 500.0 * 8.0 * 1.0);
+    EXPECT_DOUBLE_EQ(link.acquire(e, 500.0).nj(), 500.0 * 8.0 * 1.0);
+    EXPECT_DOUBLE_EQ(link.acquire(e, 500.0).nj(), 500.0 * 8.0 * 10.0);
+}
+
+TEST(SharedLink, PacedTraceDrainIsExactOnVirtualTime)
+{
+    // 1000 B/s (1 nJ/bit) for 0.05 trace-s, then 200 B/s (5 nJ/bit).
+    // A 60-byte transmission arriving at t=0 drains 50 bytes in the
+    // fast state and 10 in the slow one: 0.05 s + 0.05 s of model
+    // time, priced segment by segment. On a VirtualClock nothing
+    // jitters, so both numbers are exact.
+    const NetworkTrace t = NetworkTrace::piecewise(
+        "fade", {{Time::seconds(0.0), testLink(1000.0, 1.0)},
+                 {Time::seconds(0.05), testLink(200.0, 5.0)}});
+    sim::VirtualClock clk;
+    SharedLink::Options opts;
+    opts.clock = &clk;
+    opts.trace = &t;
+    SharedLink link(t.at(Time{}), opts);
+    const int e = link.addEndpoint("cam");
+    link.start();
+
+    const Energy energy = link.acquire(e, 60.0);
+    EXPECT_DOUBLE_EQ(energy.nj(), 50.0 * 8.0 * 1.0 + 10.0 * 8.0 * 5.0);
+    EXPECT_DOUBLE_EQ(clk.now(), 0.1);
+    const auto rep = link.report();
+    EXPECT_EQ(rep[0].grants, 1);
+    EXPECT_DOUBLE_EQ(rep[0].bytes.b(), 60.0);
+}
+
 // ---------------------------------------------------------------------
 // CameraFleet runtime
 // ---------------------------------------------------------------------
@@ -233,7 +307,8 @@ TEST(Fleet, CountingModeIsExactAcrossMixedFaVrFleet)
         fleet.addCamera(std::move(cam));
     }
 
-    const FleetRunReport rep = fleet.run();
+    const FleetRunReport rep =
+        fleet.run(shape(ExecutionMode::ThreadPerCamera));
     ASSERT_EQ(rep.cameras.size(), 4u);
 
     // fa-raw: nothing gates, every frame crosses raw.
@@ -292,7 +367,8 @@ TEST(Fleet, MeasuredFpsTracksFleetModel)
         EXPECT_TRUE(share.link_bound);
     }
 
-    const FleetRunReport rep = fleet.run();
+    const FleetRunReport rep =
+        fleet.run(shape(ExecutionMode::ThreadPerCamera));
     for (size_t i = 0; i < 3; ++i) {
         EXPECT_EQ(rep.cameras[i].runtime.delivered_frames, 30);
         EXPECT_LT(relError(rep.cameras[i].runtime.model_fps,
@@ -318,7 +394,6 @@ TEST(Fleet, ClosingOneCameraFreesItsShareWithoutStallingSiblings)
 
     FleetOptions opts;
     opts.gating = GatingMode::None;
-    opts.threaded_stages = true;
     opts.queue_capacity = 4;
     CameraFleet fleet(link, opts);
 
@@ -332,7 +407,8 @@ TEST(Fleet, ClosingOneCameraFreesItsShareWithoutStallingSiblings)
     b.frames = 160;
     fleet.addCamera(std::move(b));
 
-    const FleetRunReport rep = fleet.run();
+    const FleetRunReport rep =
+        fleet.run(shape(ExecutionMode::ThreadedStages));
     const FleetCameraReport &ra = rep.cameras[0];
     const FleetCameraReport &rb = rep.cameras[1];
 
@@ -368,7 +444,8 @@ TEST(Fleet, ScalesToSixtyFourInlineCameras)
         cam.frames = 40;
         fleet.addCamera(std::move(cam));
     }
-    const FleetRunReport rep = fleet.run();
+    const FleetRunReport rep =
+        fleet.run(shape(ExecutionMode::ThreadPerCamera));
     ASSERT_EQ(rep.cameras.size(), 64u);
     for (const FleetCameraReport &cam : rep.cameras) {
         EXPECT_EQ(cam.runtime.delivered_frames, 40);
@@ -376,6 +453,90 @@ TEST(Fleet, ScalesToSixtyFourInlineCameras)
     }
     // 64 cameras x 40 one-byte verdict uploads.
     EXPECT_DOUBLE_EQ(rep.uplink_bytes.b(), 64.0 * 40.0);
+}
+
+TEST(Fleet, TracedCountingFleetIsBitIdenticalAcrossShapes)
+{
+    // Counting mode under a piecewise trace and a shared fault plan:
+    // both shapes price every attempt through the same SimLink call at
+    // the frame clock's trace position, so per-camera ledgers,
+    // energies and link bytes agree to the bit.
+    const Pipeline fa = buildFaPipeline(nominalFaMeasurements());
+    const NetworkTrace trace = NetworkTrace::piecewise(
+        "fade", {{Time::seconds(0.0), testLink(8e6, 1.0)},
+                 {Time::seconds(10.0), testLink(2e6, 4.0)},
+                 {Time::seconds(20.0), testLink(4e6, 2.0)}});
+    FaultPlan plan;
+    plan.seed = 17;
+    plan.tx_loss = 0.1;
+    const FaultInjector inj(plan);
+    const size_t n_cams = 4;
+
+    auto run = [&](ExecutionMode mode) {
+        FleetOptions fopts;
+        fopts.gating = GatingMode::Model;
+        fopts.pace_stages = false;
+        fopts.pace_link = false;
+        fopts.network_trace = &trace;
+        fopts.trace_fps = 4.0;
+        fopts.faults = &inj;
+        fopts.delivery.max_retries = 2;
+        fopts.delivery.ack_timeout = 0.02;
+        fopts.delivery.backoff_base = 0.05;
+        CameraFleet fleet(trace.at(Time{}), fopts);
+        for (size_t i = 0; i < n_cams; ++i) {
+            FleetCamera cam("cam" + std::to_string(i), fa,
+                            PipelineConfig::full(fa, Impl::Asic,
+                                                 i % 2 == 0 ? 0 : 2));
+            cam.frames = 120; // 30 s of frame clock: every segment
+            fleet.addCamera(std::move(cam));
+        }
+        return fleet.run(shape(mode));
+    };
+    const FleetRunReport des = run(ExecutionMode::DiscreteEvent);
+    const FleetRunReport threaded = run(ExecutionMode::ThreadPerCamera);
+
+    ASSERT_EQ(des.cameras.size(), n_cams);
+    ASSERT_EQ(threaded.cameras.size(), n_cams);
+    EXPECT_GT(des.ledger.tx_losses, 0);
+    double bytes = 0.0;
+    for (size_t i = 0; i < n_cams; ++i) {
+        SCOPED_TRACE(des.cameras[i].name);
+        const LossLedger &a = des.cameras[i].runtime.ledger;
+        const LossLedger &b = threaded.cameras[i].runtime.ledger;
+        EXPECT_TRUE(a.consistent());
+        EXPECT_EQ(a.offered, b.offered);
+        EXPECT_EQ(a.delivered, b.delivered);
+        EXPECT_EQ(a.dropped, b.dropped);
+        EXPECT_EQ(a.dropped_gated, b.dropped_gated);
+        EXPECT_EQ(a.dropped_link, b.dropped_link);
+        EXPECT_EQ(a.retried_frames, b.retried_frames);
+        EXPECT_EQ(a.tx_attempts, b.tx_attempts);
+        EXPECT_EQ(a.tx_losses, b.tx_losses);
+        EXPECT_DOUBLE_EQ(a.retry_bytes.b(), b.retry_bytes.b());
+        EXPECT_DOUBLE_EQ(a.retry_energy.j(), b.retry_energy.j());
+        EXPECT_DOUBLE_EQ(a.backoff_seconds, b.backoff_seconds);
+        EXPECT_DOUBLE_EQ(des.cameras[i].runtime.joules_per_frame.j(),
+                         threaded.cameras[i].runtime.joules_per_frame.j());
+        EXPECT_DOUBLE_EQ(des.cameras[i].runtime.comm_energy.j(),
+                         threaded.cameras[i].runtime.comm_energy.j());
+        EXPECT_EQ(des.cameras[i].link.grants,
+                  threaded.cameras[i].link.grants);
+        EXPECT_DOUBLE_EQ(des.cameras[i].link.bytes.b(),
+                         threaded.cameras[i].link.bytes.b());
+        EXPECT_DOUBLE_EQ(threaded.cameras[i].link.bytes.b(),
+                         threaded.cameras[i].runtime.link.bytes_sent.b());
+        bytes += des.cameras[i].link.bytes.b();
+    }
+    EXPECT_DOUBLE_EQ(des.uplink_bytes.b(), threaded.uplink_bytes.b());
+    // The trace really priced the traffic: the fleet's radio energy
+    // lies strictly between all-cheapest and all-priciest segments.
+    double comm_j = 0.0;
+    for (const FleetCameraReport &cam : des.cameras) {
+        comm_j += cam.runtime.comm_energy.j();
+    }
+    EXPECT_GT(comm_j, bytes * 8.0 * 1e-9);
+    EXPECT_LT(comm_j, bytes * 8.0 * 4e-9);
 }
 
 TEST(Fleet, InstancesAreSingleUse)
@@ -388,8 +549,9 @@ TEST(Fleet, InstancesAreSingleUse)
     FleetCamera cam("solo", p, PipelineConfig::full(p, Impl::Asic, 1));
     cam.frames = 4;
     fleet.addCamera(std::move(cam));
-    (void)fleet.run();
-    EXPECT_DEATH((void)fleet.run(), "single-use");
+    (void)fleet.run(shape(ExecutionMode::ThreadPerCamera));
+    EXPECT_DEATH((void)fleet.run(shape(ExecutionMode::ThreadPerCamera)),
+                 "single-use");
 }
 
 // ---------------------------------------------------------------------

@@ -27,13 +27,13 @@
 #include "fa/scenario.hh"
 #include "fault/fault.hh"
 #include "fleet/fleet.hh"
+#include "fleet/shared_link.hh"
 #include "runtime/pacer.hh"
 #include "runtime/runtime.hh"
 #include "sim/clock.hh"
 #include "sim/engine.hh"
 #include "sim/scheduler.hh"
 #include "sim/sim_link.hh"
-#include "trace/dynamic_link.hh"
 #include "trace/trace.hh"
 #include "vr/scenario.hh"
 
@@ -175,21 +175,19 @@ TEST(SimLink, FairShareDrainsAndPricesExactly)
     const int a = link.addEndpoint("a");
     const int b = link.addEndpoint("b");
 
-    link.submit(a, 1000.0, 0.0);
+    EXPECT_TRUE(link.submit(a, 1000.0, 0.0).empty());
     EXPECT_DOUBLE_EQ(link.nextDepartureTime(), 1.0);
     // b arrives halfway: a has 500 B left, both drain at 500 B/s.
-    link.submit(b, 250.0, 0.5);
+    EXPECT_TRUE(link.submit(b, 250.0, 0.5).empty());
     EXPECT_DOUBLE_EQ(link.nextDepartureTime(), 1.0); // b: 250 B first
-    link.advanceTo(1.0);
-    auto done = link.takeCompleted();
+    auto done = link.advanceTo(1.0);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].endpoint, b);
     EXPECT_DOUBLE_EQ(done[0].depart_t, 1.0);
     EXPECT_DOUBLE_EQ(done[0].energy.nj(), 250.0 * 8.0 * 2.0);
     // a alone again: 250 B left at full rate.
     EXPECT_DOUBLE_EQ(link.nextDepartureTime(), 1.25);
-    link.advanceTo(1.25);
-    done = link.takeCompleted();
+    done = link.advanceTo(1.25);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].endpoint, a);
     EXPECT_DOUBLE_EQ(done[0].energy.nj(), 1000.0 * 8.0 * 2.0);
@@ -208,19 +206,17 @@ TEST(SimLink, StrictPriorityPreemptsLowerTier)
     const int lo = link.addEndpoint("lo", 1.0);
     const int hi = link.addEndpoint("hi", 2.0);
 
-    link.submit(lo, 1000.0, 0.0);
+    EXPECT_TRUE(link.submit(lo, 1000.0, 0.0).empty());
     EXPECT_DOUBLE_EQ(link.nextDepartureTime(), 1.0);
     // The high tier arrives at 0.2 with 500 B: lo freezes with 800 B
     // left, hi drains alone 0.2 -> 0.7, lo resumes 0.7 -> 1.5.
-    link.submit(hi, 500.0, 0.2);
+    EXPECT_TRUE(link.submit(hi, 500.0, 0.2).empty());
     EXPECT_DOUBLE_EQ(link.nextDepartureTime(), 0.7);
-    link.advanceTo(0.7);
-    auto done = link.takeCompleted();
+    auto done = link.advanceTo(0.7);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].endpoint, hi);
     EXPECT_DOUBLE_EQ(link.nextDepartureTime(), 1.5);
-    link.advanceTo(1.5);
-    done = link.takeCompleted();
+    done = link.advanceTo(1.5);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].endpoint, lo);
     EXPECT_DOUBLE_EQ(done[0].depart_t, 1.5);
@@ -334,8 +330,8 @@ TEST(Sim, SoloAdaptiveDecisionsMatchAcrossShapes)
 
 TEST(Sim, SoloTracePacedRunExecutesOnModelTime)
 {
-    // A trace-paced pipeline on a VirtualClock: DynamicLink's fluid
-    // drain advances model time instead of sleeping, so the run is
+    // A trace-paced pipeline on a VirtualClock: SharedLink's drain
+    // advances model time instead of sleeping, so the run is
     // immediate in wall time while the *model* numbers come out link
     // bound. 1000-byte raw frames on a 50 kB/s first segment = 50 FPS.
     const Pipeline pipe = offloadablePipeline();
@@ -347,12 +343,13 @@ TEST(Sim, SoloTracePacedRunExecutesOnModelTime)
     RuntimeOptions opts;
     opts.frames = 200;
     opts.gating = GatingMode::None;
-    DynamicLink::Options dopts;
-    dopts.clock = &clk;
-    DynamicLink dyn(trace, dopts);
+    SharedLink::Options lopts;
+    lopts.clock = &clk;
+    lopts.trace = &trace;
+    SharedLink link(trace.at(Time{}), lopts);
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
                          trace.at(Time{}), opts);
-    sp.attachUplinkArbiter(&dyn, 0);
+    sp.attachUplinkArbiter(&link, link.addEndpoint("cam"));
     RunOptions ro;
     ro.mode = ExecutionMode::Inline;
     ro.clock = &clk;
@@ -625,6 +622,63 @@ TEST(Sim, WeightedPacedSharesFollowWeightsDiscreteEvent)
     EXPECT_NEAR(rep.cameras[0].runtime.model_fps /
                     rep.cameras[1].runtime.model_fps,
                 3.0, 0.15);
+}
+
+TEST(Sim, PacedLossyBackscatterFleetCompletesDiscreteEvent)
+{
+    // A paced 1000-camera backscatter fleet with retries: submit()
+    // settling the medium pops departures within rounding slop of the
+    // submit instant. Those cameras must resume at once — a departure
+    // left waiting for a later event resumed its camera at a stale
+    // model time and aborted the run (submit before settled time).
+    const Pipeline fa = buildFaPipeline(nominalFaMeasurements());
+    const NetworkLink link = backscatterUplink();
+    FaultPlan plan;
+    plan.seed = 7;
+    plan.tx_loss = 0.1;
+    const FaultInjector inj(plan);
+
+    FleetOptions fopts;
+    fopts.gating = GatingMode::None;
+    fopts.pace_stages = false;
+    fopts.pace_link = true;
+    fopts.trace_fps = 30.0;
+    fopts.epoch_capacity = 4;
+    fopts.faults = &inj;
+    fopts.delivery.max_retries = 2;
+    fopts.delivery.ack_timeout = 0.02;
+    fopts.delivery.backoff_base = 0.05;
+    fopts.delivery.backoff_jitter = 0.2;
+    CameraFleet fleet(link, fopts);
+    const PipelineConfig cfg = PipelineConfig::full(fa, Impl::Asic, 2);
+    const double cut_bytes =
+        PipelineEvaluator(fa, link).cutBytes(cfg).b();
+    const int n = 1000;
+    const int64_t frames = 10;
+    for (int i = 0; i < n; ++i) {
+        FleetCamera cam("wisp" + std::to_string(i), fa, cfg);
+        cam.frames = frames;
+        fleet.addCamera(std::move(cam));
+    }
+    RunOptions ro;
+    ro.mode = ExecutionMode::DiscreteEvent;
+    const FleetRunReport rep = fleet.run(ro);
+
+    ASSERT_EQ(rep.cameras.size(), static_cast<size_t>(n));
+    EXPECT_TRUE(rep.ledger.consistent());
+    EXPECT_EQ(rep.ledger.offered, n * frames);
+    EXPECT_EQ(rep.ledger.offered,
+              rep.ledger.delivered + rep.ledger.dropped);
+    EXPECT_GT(rep.ledger.tx_losses, 0);
+    const double attempt_bytes =
+        static_cast<double>(rep.ledger.tx_attempts) * cut_bytes;
+    EXPECT_DOUBLE_EQ(rep.uplink_bytes.b(), attempt_bytes);
+    double granted = 0.0;
+    for (const FleetCameraReport &cam : rep.cameras) {
+        granted += cam.link.bytes.b();
+        EXPECT_TRUE(cam.link.released);
+    }
+    EXPECT_DOUBLE_EQ(granted, attempt_bytes);
 }
 
 TEST(Sim, ScalesFarBeyondTheThreadPoolCap)
