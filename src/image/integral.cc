@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/mul_add.hh"
 #include "exec/parallel.hh"
 
 namespace incam {
@@ -94,7 +95,7 @@ IntegralImage::rectStddev(int x, int y, int rw, int rh) const
                         static_cast<double>(area);
     const double mean_sq = static_cast<double>(rectSumSq(x, y, rw, rh)) /
                            static_cast<double>(area);
-    const double var = mean_sq - mean * mean;
+    const double var = mulAdd(-mean, mean, mean_sq);
     return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 

@@ -11,6 +11,9 @@
 #ifndef INCAM_IMAGE_OPS_HH
 #define INCAM_IMAGE_OPS_HH
 
+#include <cstring>
+#include <vector>
+
 #include "common/rng.hh"
 #include "image/image.hh"
 
@@ -76,16 +79,25 @@ Image<T>
 resizeNearest(const Image<T> &in, int out_w, int out_h)
 {
     Image<T> out(out_w, out_h, in.channels());
+    const size_t c = static_cast<size_t>(in.channels());
+    const size_t in_row = static_cast<size_t>(in.width()) * c;
+    // Offset of each output column's source pixel within a source row.
+    std::vector<size_t> src_col(static_cast<size_t>(out_w));
+    for (int x = 0; x < out_w; ++x) {
+        const int sx = std::min(
+            static_cast<int>(static_cast<int64_t>(x) * in.width() / out_w),
+            in.width() - 1);
+        src_col[static_cast<size_t>(x)] = static_cast<size_t>(sx) * c;
+    }
+    T *dst = out.raw();
     for (int y = 0; y < out_h; ++y) {
         const int sy = std::min(
             static_cast<int>(static_cast<int64_t>(y) * in.height() / out_h),
             in.height() - 1);
-        for (int x = 0; x < out_w; ++x) {
-            const int sx = std::min(
-                static_cast<int>(static_cast<int64_t>(x) * in.width() / out_w),
-                in.width() - 1);
-            for (int c = 0; c < in.channels(); ++c) {
-                out.at(x, y, c) = in.at(sx, sy, c);
+        const T *src = in.raw() + static_cast<size_t>(sy) * in_row;
+        for (const size_t col : src_col) {
+            for (size_t ch = 0; ch < c; ++ch) {
+                *dst++ = src[col + ch];
             }
         }
     }
@@ -101,12 +113,14 @@ crop(const Image<T> &in, const Rect &r)
                  "crop rect (", r.x, ",", r.y, ",", r.w, ",", r.h,
                  ") outside ", in.width(), "x", in.height());
     Image<T> out(r.w, r.h, in.channels());
+    const size_t c = static_cast<size_t>(in.channels());
+    const size_t in_row = static_cast<size_t>(in.width()) * c;
+    const size_t out_row = static_cast<size_t>(r.w) * c;
     for (int y = 0; y < r.h; ++y) {
-        for (int x = 0; x < r.w; ++x) {
-            for (int c = 0; c < in.channels(); ++c) {
-                out.at(x, y, c) = in.at(r.x + x, r.y + y, c);
-            }
-        }
+        std::memcpy(out.raw() + static_cast<size_t>(y) * out_row,
+                    in.raw() + static_cast<size_t>(r.y + y) * in_row +
+                        static_cast<size_t>(r.x) * c,
+                    out_row * sizeof(T));
     }
     return out;
 }

@@ -43,6 +43,8 @@ struct CascadeStats
     uint64_t stages_entered = 0;
     uint64_t features_evaluated = 0;
     uint64_t windows_accepted = 0;
+    /** Of `windows`, those Detector::rawHits classified in SIMD lanes. */
+    uint64_t lane_windows = 0;
 
     void
     merge(const CascadeStats &o)
@@ -51,6 +53,7 @@ struct CascadeStats
         stages_entered += o.stages_entered;
         features_evaluated += o.features_evaluated;
         windows_accepted += o.windows_accepted;
+        lane_windows += o.lane_windows;
     }
 
     /** Mean features per window — the cascade's efficiency headline. */

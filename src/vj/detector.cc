@@ -9,7 +9,16 @@
 #include <numeric>
 
 #include "common/logging.hh"
+#include "common/mul_add.hh"
 #include "exec/parallel.hh"
+
+// The interior scan has an AVX2 body, picked at run time, on x86-64
+// GCC and Clang; every other build keeps the scalar table path alone.
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define INCAM_VJ_LANES 1
+#define INCAM_AVX2 __attribute__((target("avx2")))
+#endif
 
 namespace incam {
 
@@ -32,6 +41,37 @@ cornerSum(const int64_t *t, const Corners &c)
     return t[c[0]] - t[c[1]] - t[c[2]] + t[c[3]];
 }
 
+#ifdef INCAM_VJ_LANES
+/** Lanes of doubles, lane i for the window at origin + i * step. */
+INCAM_AVX2 inline __m256d
+cornerSums4(const int64_t *t, ptrdiff_t step, const Corners &c)
+{
+    const __m256i s =
+        _mm256_set_epi64x(cornerSum(t + 3 * step, c),
+                          cornerSum(t + 2 * step, c),
+                          cornerSum(t + step, c), cornerSum(t, c));
+    // Exact int64 -> double for 0 <= s < 2^52, which holds for any image
+    // under 2^36 pixels (a squared sample is at most 255^2 < 2^16):
+    // OR-ing s into the mantissa of 2^52 gives the double 2^52 + s, and
+    // subtracting 2^52 leaves s.
+    const __m256d two52 = _mm256_set1_pd(0x1p52);
+    return _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(s, _mm256_castpd_si256(two52))),
+        two52);
+}
+
+/** mulAdd in lanes: fused exactly when the scalar mulAdd is. */
+INCAM_AVX2 inline __m256d
+mulAdd4(__m256d a, __m256d b, __m256d c)
+{
+#ifdef __FMA__
+    return _mm256_fmadd_pd(a, b, c);
+#else
+    return _mm256_add_pd(_mm256_mul_pd(a, b), c);
+#endif
+}
+#endif
+
 /**
  * One scale of the cascade, flattened for the interior of the scan.
  *
@@ -44,7 +84,7 @@ cornerSum(const int64_t *t, const Corners &c)
  * classify() repeats the reference arithmetic (Cascade::classifyWindow,
  * windowInvNorm, HaarFeature::evaluate) operation for operation, so
  * results and stats are bit-identical; other windows go to the
- * reference.
+ * reference. classify4() repeats classify() in four AVX2 lanes.
  */
 class ScaleTable
 {
@@ -134,8 +174,10 @@ class ScaleTable
                 const Entry &e = stumps[i];
                 double value = 0.0;
                 for (size_t r = e.rect_begin; r < e.rect_end; ++r) {
-                    value += rects[r].weight * static_cast<double>(
-                                                   cornerSum(sum, rects[r].at));
+                    value = mulAdd(rects[r].weight,
+                                   static_cast<double>(
+                                       cornerSum(sum, rects[r].at)),
+                                   value);
                 }
                 const double v = value * inv_norm;
                 const bool fire =
@@ -154,6 +196,63 @@ class ScaleTable
         return true;
     }
 
+#ifdef INCAM_VJ_LANES
+    /**
+     * classify() for the four windows at @p sum / @p sq + i * @p step,
+     * i = 0..3, one per AVX2 double lane. Every stage runs for all four
+     * under a live mask, and the cascade stops once no lane is live.
+     * Each lane makes classify()'s IEEE operations in the same order, so
+     * the hits and stats are those of four classify() calls. Returns the
+     * hits as bit i for window i.
+     */
+    INCAM_AVX2 unsigned
+    classify4(const int64_t *sum, const int64_t *sq, ptrdiff_t step,
+              CascadeStats *stats) const
+    {
+        const __m256d inv_norm = invNorm4(sum, sq, step);
+        unsigned live = 0xF;
+        for (const Stage &stage : stages) {
+            if (stats) {
+                const auto n = static_cast<uint64_t>(__builtin_popcount(live));
+                stats->stages_entered += n;
+                stats->features_evaluated += n * (stage.end - stage.begin);
+            }
+            __m256d votes = _mm256_setzero_pd();
+            for (size_t i = stage.begin; i < stage.end; ++i) {
+                const Entry &e = stumps[i];
+                __m256d value = _mm256_setzero_pd();
+                for (size_t r = e.rect_begin; r < e.rect_end; ++r) {
+                    value = mulAdd4(_mm256_set1_pd(rects[r].weight),
+                                    cornerSums4(sum, step, rects[r].at),
+                                    value);
+                }
+                const __m256d v = _mm256_mul_pd(value, inv_norm);
+                const __m256d t = _mm256_set1_pd(e.threshold);
+                const __m256d fire = e.polarity > 0
+                                         ? _mm256_cmp_pd(v, t, _CMP_LT_OQ)
+                                         : _mm256_cmp_pd(v, t, _CMP_GE_OQ);
+                // A lane that does not fire adds +0.0, which can only
+                // change the sign of a zero vote total; no comparison
+                // below sees that.
+                votes = _mm256_add_pd(
+                    votes, _mm256_and_pd(fire, _mm256_set1_pd(e.alpha)));
+            }
+            live &= ~static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(
+                votes, _mm256_set1_pd(stage.threshold), _CMP_LT_OQ)));
+            if (live == 0) {
+                break;
+            }
+        }
+        if (stats) {
+            stats->windows += 4;
+            stats->lane_windows += 4;
+            stats->windows_accepted +=
+                static_cast<uint64_t>(__builtin_popcount(live));
+        }
+        return live;
+    }
+#endif
+
   private:
     /** windowInvNorm, via IntegralImage::rectStddev, on the tables. */
     double
@@ -163,13 +262,36 @@ class ScaleTable
             static_cast<double>(cornerSum(sum, norm)) / window_area;
         const double mean_sq =
             static_cast<double>(cornerSum(sq, norm)) / window_area;
-        const double var = mean_sq - mean * mean;
+        const double var = mulAdd(-mean, mean, mean_sq);
         const double sd = var > 0.0 ? std::sqrt(var) : 0.0;
         if (sd < 1e-6) {
             return 0.0;
         }
         return 1.0 / (window_area * sd);
     }
+
+#ifdef INCAM_VJ_LANES
+    /** invNorm in lanes; the selects replace its branches. */
+    INCAM_AVX2 __m256d
+    invNorm4(const int64_t *sum, const int64_t *sq, ptrdiff_t step) const
+    {
+        const __m256d area = _mm256_set1_pd(window_area);
+        const __m256d mean =
+            _mm256_div_pd(cornerSums4(sum, step, norm), area);
+        const __m256d mean_sq =
+            _mm256_div_pd(cornerSums4(sq, step, norm), area);
+        const __m256d neg_mean =
+            _mm256_xor_pd(mean, _mm256_set1_pd(-0.0));
+        const __m256d var = mulAdd4(neg_mean, mean, mean_sq);
+        const __m256d sd =
+            _mm256_and_pd(_mm256_cmp_pd(var, _mm256_setzero_pd(), _CMP_GT_OQ),
+                          _mm256_sqrt_pd(var));
+        const __m256d inv =
+            _mm256_div_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(area, sd));
+        return _mm256_andnot_pd(
+            _mm256_cmp_pd(sd, _mm256_set1_pd(1e-6), _CMP_LT_OQ), inv);
+    }
+#endif
 
     struct Rect4
     {
@@ -250,6 +372,10 @@ Detector::rawHits(const ImageU8 &gray, CascadeStats *stats) const
     const int64_t *sum = ii.sumTable();
     const int64_t *sq = ii.sqTable();
     const auto stride = static_cast<ptrdiff_t>(ii.stride());
+#ifdef INCAM_VJ_LANES
+    // ScaleTable::classify4 runs where the host has AVX2.
+    static const bool lanes = __builtin_cpu_supports("avx2");
+#endif
     std::vector<Rect> hits;
 
     for (const ScanScale &s : scanScales(gray.width(), gray.height())) {
@@ -276,7 +402,22 @@ Detector::rawHits(const ImageU8 &gray, CascadeStats *stats) const
                     const int fast_cols =
                         table.interiorRow(y, gray.height()) ? interior_cols
                                                             : 0;
-                    for (int col = 0; col < s.nx; ++col) {
+                    int col = 0;
+#ifdef INCAM_VJ_LANES
+                    for (; lanes && col + 4 <= fast_cols; col += 4) {
+                        const int x = col * s.step;
+                        const ptrdiff_t origin = y * stride + x;
+                        const unsigned hit = table.classify4(
+                            sum + origin, sq + origin, s.step, lstats);
+                        for (int i = 0; i < 4; ++i) {
+                            if (hit >> i & 1u) {
+                                band_hits[band].push_back(Rect{
+                                    x + i * s.step, y, s.window, s.window});
+                            }
+                        }
+                    }
+#endif
+                    for (; col < s.nx; ++col) {
                         const int x = col * s.step;
                         const ptrdiff_t origin = y * stride + x;
                         const bool hit =

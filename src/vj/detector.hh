@@ -99,8 +99,9 @@ class Detector
      * and stats, merged in (scale, band) order, so the hit list and the
      * stats are bit-identical to the serial scan at any thread count.
      * Each scale flattens the cascade into a table once; windows whose
-     * every lookup lies inside the image are classified from it, the
-     * rest by Cascade::classifyWindow, with identical results.
+     * every lookup lies inside the image are classified from it (four
+     * at a time in AVX2 lanes when the host has AVX2), the rest by
+     * Cascade::classifyWindow, with identical results.
      */
     std::vector<Rect> rawHits(const ImageU8 &gray,
                               CascadeStats *stats = nullptr) const;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/mul_add.hh"
 
 namespace incam {
 
@@ -34,7 +35,8 @@ HaarFeature::evaluate(const IntegralImage &ii, int wx, int wy, double scale,
         const double actual_area = static_cast<double>(w) * h;
         const double weight =
             static_cast<double>(rect.weight) * ideal_area / actual_area;
-        value += weight * static_cast<double>(ii.rectSum(x, y, w, h));
+        value = mulAdd(weight, static_cast<double>(ii.rectSum(x, y, w, h)),
+                       value);
     }
     return value * inv_norm;
 }

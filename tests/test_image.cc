@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "image/image.hh"
 #include "image/image_io.hh"
 #include "image/ops.hh"
@@ -121,6 +122,48 @@ TEST(Ops, CropExtractsRegion)
     const ImageU8 c = crop(img, Rect{3, 4, 2, 2});
     EXPECT_EQ(c.width(), 2);
     EXPECT_EQ(c.at(0, 0), 99);
+}
+
+TEST(Ops, CropAndResizeNearestMatchPerSampleLoops)
+{
+    for (int channels : {1, 3}) {
+        Rng rng(static_cast<uint64_t>(channels));
+        ImageU8 img(37, 23, channels);
+        for (auto &v : img) {
+            v = static_cast<uint8_t>(rng.below(256));
+        }
+        for (const Rect &r : {Rect{0, 0, 37, 23}, Rect{5, 3, 1, 1},
+                              Rect{11, 7, 20, 16}, Rect{36, 0, 1, 23}}) {
+            const ImageU8 got = crop(img, r);
+            ASSERT_EQ(got.width(), r.w);
+            ASSERT_EQ(got.height(), r.h);
+            ASSERT_EQ(got.channels(), channels);
+            for (int y = 0; y < r.h; ++y) {
+                for (int x = 0; x < r.w; ++x) {
+                    for (int c = 0; c < channels; ++c) {
+                        ASSERT_EQ(got.at(x, y, c), img.at(r.x + x, r.y + y, c));
+                    }
+                }
+            }
+        }
+        // Down, up, mixed and identity sizes.
+        for (const auto &[w, h] : {std::pair{20, 20}, std::pair{80, 51},
+                                  std::pair{9, 40}, std::pair{37, 23},
+                                  std::pair{1, 1}}) {
+            const ImageU8 got = resizeNearest(img, w, h);
+            ASSERT_TRUE(got.sameShape(ImageU8(w, h, channels)));
+            for (int y = 0; y < h; ++y) {
+                const int sy = std::min(y * img.height() / h, img.height() - 1);
+                for (int x = 0; x < w; ++x) {
+                    const int sx = std::min(x * img.width() / w, img.width() - 1);
+                    for (int c = 0; c < channels; ++c) {
+                        ASSERT_EQ(got.at(x, y, c), img.at(sx, sy, c))
+                            << w << "x" << h << " at " << x << "," << y;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Ops, FlipHorizontalInvolution)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "common/rng.hh"
 #include "motion/motion.hh"
 #include "workload/video.hh"
 
@@ -118,6 +121,55 @@ TEST(Motion, DetectsSecurityVideoVisits)
     EXPECT_LT(static_cast<double>(fired_on_empty) /
                   std::max(1, empty_frames),
               0.2);
+}
+
+TEST(Motion, ChangedCountMatchesPerPixelLoop)
+{
+    // 160x120 is a whole number of 64-sample blocks; 97x61 leaves a
+    // tail of 29 samples.
+    for (const auto &[w, h] : {std::pair{160, 120}, std::pair{97, 61}}) {
+        Rng rng(static_cast<uint64_t>(w) * h);
+        ImageU8 prev(w, h, 1);
+        ImageU8 cur(w, h, 1);
+        for (size_t i = 0; i < prev.sampleCount(); ++i) {
+            // Some samples at 0 or 255, so the opposite extreme below
+            // differs by 255 and threshold 254 still counts a few.
+            const uint8_t p = rng.chance(0.02)
+                                  ? static_cast<uint8_t>(rng.below(2) * 255)
+                                  : static_cast<uint8_t>(rng.below(256));
+            prev.raw()[i] = p;
+            switch (rng.below(3)) {
+            case 0:
+                cur.raw()[i] = p;
+                break;
+            case 1:
+                cur.raw()[i] = static_cast<uint8_t>(rng.below(256));
+                break;
+            default:
+                cur.raw()[i] = p < 128 ? 255 : 0;
+                break;
+            }
+        }
+        for (int threshold : {0, 14, 254}) {
+            size_t want = 0;
+            for (int y = 0; y < h; ++y) {
+                for (int x = 0; x < w; ++x) {
+                    want += std::abs(static_cast<int>(cur.at(x, y)) -
+                                     prev.at(x, y)) > threshold;
+                }
+            }
+            ASSERT_GT(want, 0u);
+            MotionConfig cfg;
+            cfg.pixel_threshold = threshold;
+            MotionDetector md(cfg);
+            md.update(prev);
+            md.update(cur);
+            EXPECT_EQ(md.lastChangedFraction(),
+                      static_cast<double>(want) /
+                          static_cast<double>(w * h))
+                << w << "x" << h << " threshold " << threshold;
+        }
+    }
 }
 
 TEST(MotionAccel, EnergyScalesWithPixels)

@@ -186,9 +186,58 @@ naiveRawHits(const Cascade &cascade, const Detector &d, const ImageU8 &gray,
     return hits;
 }
 
+/** Whether Detector::rawHits should take its AVX2 lane body here. */
+bool
+hostHasLaneScan()
+{
+#if defined(__x86_64__) && defined(__GNUC__)
+    return __builtin_cpu_supports("avx2");
+#else
+    return false;
+#endif
+}
+
+/**
+ * rawHits against naiveRawHits at 1, 2 and 4 threads: hits and every
+ * CascadeStats counter. Returns the lane_windows count, which must not
+ * depend on the thread count either.
+ */
+uint64_t
+expectScanMatchesReference(const Cascade &cascade, DetectorParams p,
+                           const ImageU8 &gray, const std::string &where,
+                           CascadeStats *reference = nullptr)
+{
+    CascadeStats want;
+    const std::vector<Rect> expected =
+        naiveRawHits(cascade, Detector(cascade, p), gray, &want);
+    uint64_t lane_windows = 0;
+    for (int threads : {1, 2, 4}) {
+        p.exec = ExecPolicy{threads, 2};
+        CascadeStats got;
+        const std::vector<Rect> hits =
+            Detector(cascade, p).rawHits(gray, &got);
+        const std::string at =
+            where + ", " + std::to_string(threads) + " threads";
+        EXPECT_EQ(hits, expected) << at;
+        EXPECT_EQ(got.windows, want.windows) << at;
+        EXPECT_EQ(got.stages_entered, want.stages_entered) << at;
+        EXPECT_EQ(got.features_evaluated, want.features_evaluated) << at;
+        EXPECT_EQ(got.windows_accepted, want.windows_accepted) << at;
+        if (threads == 1) {
+            lane_windows = got.lane_windows;
+        }
+        EXPECT_EQ(got.lane_windows, lane_windows) << at;
+    }
+    if (reference) {
+        *reference = want;
+    }
+    return lane_windows;
+}
+
 TEST(ParallelKernels, DetectorScanMatchesReferenceClassifier)
 {
     const Cascade cascade = multiStageCascade();
+    const bool lanes = hostHasLaneScan();
     bool saw_deep = false;
     for (const auto &[w, h] : {std::pair{97, 61}, std::pair{41, 23},
                               std::pair{160, 120}}) {
@@ -202,42 +251,125 @@ TEST(ParallelKernels, DetectorScanMatchesReferenceClassifier)
                     p.static_step = 3;
                     p.adaptive_frac = 0.08;
                     p.scale_factor = factor;
+                    const std::string where =
+                        std::to_string(w) + "x" + std::to_string(h) +
+                        (gray == &flat ? " flat" : " scene") +
+                        (adaptive ? " adaptive" : " static") + " factor " +
+                        std::to_string(factor);
                     CascadeStats want;
-                    const std::vector<Rect> expected = naiveRawHits(
-                        cascade, Detector(cascade, p), *gray, &want);
+                    const uint64_t lane_windows = expectScanMatchesReference(
+                        cascade, p, *gray, where, &want);
                     if (gray == &scene) {
                         EXPECT_GT(want.stages_entered, 2 * want.windows);
                         saw_deep = saw_deep || (want.windows_accepted > 0 &&
                                                 want.windows_accepted <
                                                     want.windows);
                     }
-                    for (int threads : {1, 2, 4}) {
-                        p.exec = ExecPolicy{threads, 2};
-                        CascadeStats got;
-                        const std::vector<Rect> hits =
-                            Detector(cascade, p).rawHits(*gray, &got);
-                        const std::string where =
-                            std::to_string(w) + "x" + std::to_string(h) +
-                            (gray == &flat ? " flat" : " scene") +
-                            (adaptive ? " adaptive" : " static") +
-                            " factor " + std::to_string(factor) + ", " +
-                            std::to_string(threads) + " threads";
-                        ASSERT_EQ(hits, expected) << where;
-                        EXPECT_EQ(got.windows, want.windows) << where;
-                        EXPECT_EQ(got.stages_entered, want.stages_entered)
-                            << where;
-                        EXPECT_EQ(got.features_evaluated,
-                                  want.features_evaluated)
-                            << where;
-                        EXPECT_EQ(got.windows_accepted,
-                                  want.windows_accepted)
-                            << where;
-                    }
+                    // Every size has four interior windows in a row at
+                    // the first scale, so a host with AVX2 must have
+                    // classified some in lanes.
+                    EXPECT_EQ(lane_windows > 0, lanes) << where;
                 }
             }
         }
     }
     EXPECT_TRUE(saw_deep) << "cascade never split windows at the last stage";
+
+    // One scale (window 20, the largest that fits 24 rows), step 1. At
+    // scale 1 every rectangle ends inside the window, so all w - 19
+    // columns of all 5 rows are interior: widths 40..43 leave 1, 2, 3
+    // and 0 columns after the groups of four. The left 30 columns are
+    // flat, so windows there have inv_norm 0, and groups across x = 10
+    // mix them with textured ones.
+    bool saw_split_group = false;
+    bool saw_mixed_norm = false;
+    for (int w = 40; w <= 43; ++w) {
+        const int h = 24;
+        ImageU8 gray = sceneU8(w, h, static_cast<uint64_t>(w));
+        for (int y = 0; y < h; ++y) {
+            for (int x = 0; x < 30; ++x) {
+                gray.at(x, y) = 90;
+            }
+        }
+        DetectorParams p;
+        p.adaptive_step = false;
+        p.static_step = 1;
+        const int cols = w - 19;
+        const std::string where = std::to_string(w) + "x24, step 1";
+        const uint64_t lane_windows =
+            expectScanMatchesReference(cascade, p, gray, where);
+        EXPECT_EQ(lane_windows, lanes ? 5u * (cols / 4 * 4) : 0u) << where;
+
+        // What the groups of four hold, from the reference per window.
+        const IntegralImage ii(gray);
+        for (int y = 0; y < 5; ++y) {
+            for (int g = 0; g + 4 <= cols; g += 4) {
+                std::vector<uint64_t> rejected_at;
+                int flat_lanes = 0;
+                for (int x = g; x < g + 4; ++x) {
+                    CascadeStats one;
+                    if (!cascade.classifyWindow(ii, x, y, 1.0, &one)) {
+                        rejected_at.push_back(one.stages_entered);
+                    }
+                    flat_lanes += windowInvNorm(ii, x, y, 20) == 0.0;
+                }
+                saw_split_group =
+                    saw_split_group ||
+                    (rejected_at.size() >= 2 &&
+                     *std::min_element(rejected_at.begin(),
+                                       rejected_at.end()) !=
+                         *std::max_element(rejected_at.begin(),
+                                           rejected_at.end()));
+                saw_mixed_norm =
+                    saw_mixed_norm || (flat_lanes > 0 && flat_lanes < 4);
+            }
+        }
+    }
+    EXPECT_TRUE(saw_split_group)
+        << "no group of four had lanes rejected at different stages";
+    EXPECT_TRUE(saw_mixed_norm)
+        << "no group of four mixed flat and textured windows";
+}
+
+/**
+ * One-stump cascades whose threshold is the reference's own value of
+ * its feature at one window of the 1.25 scale. That window sits on the
+ * tie, so a scan whose value is one ulp off there — a multiply-add
+ * fused where the reference rounds twice, or the reverse — or that
+ * breaks the tie the other way gets a different hit list. Scale 1.25
+ * gives the rectangles non-integer compensated weights, so fusing
+ * changes the products too, not only the window variance.
+ */
+TEST(ParallelKernels, DetectorScanMatchesReferenceOnTies)
+{
+    const ImageU8 gray = sceneU8(64, 48, 5);
+    const IntegralImage ii(gray);
+    const std::vector<HaarFeature> pool = enumerateFeatures(20, 3, 3);
+    DetectorParams p;
+    p.adaptive_step = false;
+    p.static_step = 1;
+    p.max_window_frac = 0.625; // windows 20 and 25 only
+    Rng rng(77);
+    for (int trial = 0; trial < 24; ++trial) {
+        const HaarFeature &f = pool[rng.below(pool.size())];
+        // Inside the first lane groups of an interior row.
+        const int x = static_cast<int>(rng.below(16));
+        const int y = static_cast<int>(rng.below(12));
+        const double tie =
+            f.evaluate(ii, x, y, 1.25, windowInvNorm(ii, x, y, 25));
+        for (int8_t polarity : {int8_t{1}, int8_t{-1}}) {
+            Stump stump;
+            stump.feature = 0;
+            stump.threshold = tie;
+            stump.polarity = polarity;
+            stump.alpha = 1.0;
+            const Cascade cascade(20, {f}, {CascadeStage{{stump}, 1.0}});
+            expectScanMatchesReference(
+                cascade, p, gray,
+                "trial " + std::to_string(trial) + " polarity " +
+                    std::to_string(polarity));
+        }
+    }
 }
 
 TEST(ParallelKernels, IntegralImageMatchesSerialExactly)
