@@ -459,7 +459,7 @@ runEnergyScenario(const std::string &name, const Pipeline &base,
     ctl.attach(sp);
 
     const auto t0 = std::chrono::steady_clock::now();
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     res.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
@@ -539,7 +539,7 @@ runVrScenario(const std::string &name, const Conditions &c,
     const auto t0 = std::chrono::steady_clock::now();
     epoch = clk.now();
     link.start();
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     res.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count();

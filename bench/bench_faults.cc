@@ -150,7 +150,7 @@ runGridCell(double loss, int retries, int64_t frames)
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
                          radioLink("lossy", 1e6, 1.0), opts);
     sp.setFaultInjector(&inj);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     DeliveryModelPolicy pol;
     pol.max_retries = retries;
@@ -221,7 +221,8 @@ runBlackoutScenario()
                              PipelineConfig::full(pipe, Impl::Asic, 0),
                              link, opts);
         sp.setFaultInjector(&inj);
-        const RuntimeReport rep = sp.run();
+        const RuntimeReport rep =
+            sp.run(RunOptions{ExecutionMode::ThreadedStages});
         res.fixed_delivered = rep.ledger.delivered;
         res.fixed_consistent = rep.ledger.consistent();
         res.blackout_seconds = rep.ledger.blackout_seconds;
@@ -252,7 +253,8 @@ runBlackoutScenario()
         AdaptiveController ctl(pipe, link, copts);
         ctl.useFaultPlan(&plan);
         ctl.attach(sp);
-        const RuntimeReport rep = sp.run();
+        const RuntimeReport rep =
+            sp.run(RunOptions{ExecutionMode::ThreadedStages});
         res.adaptive_delivered = rep.ledger.delivered;
         res.adaptive_local = rep.ledger.delivered_local;
         res.adaptive_consistent = rep.ledger.consistent();

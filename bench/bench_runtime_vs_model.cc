@@ -92,7 +92,8 @@ measureCut(const char *pipeline_name, const Pipeline &pipe,
     fps_opts.gating = GatingMode::None; // throughput semantics
     fps_opts.time_scale = time_scale;
     StreamingPipeline fps_run(pipe, cfg, link, fps_opts);
-    r.measured_fps = fps_run.run().model_fps;
+    r.measured_fps =
+        fps_run.run(RunOptions{ExecutionMode::ThreadedStages}).model_fps;
 
     RuntimeOptions e_opts;
     e_opts.frames = frames;
@@ -100,7 +101,9 @@ measureCut(const char *pipeline_name, const Pipeline &pipe,
     e_opts.pace_stages = false;
     e_opts.pace_link = false;
     StreamingPipeline e_run(pipe, cfg, link, e_opts);
-    r.measured_jpf = e_run.run().joules_per_frame.j();
+    r.measured_jpf =
+        e_run.run(RunOptions{ExecutionMode::ThreadedStages})
+            .joules_per_frame.j();
     return r;
 }
 

@@ -108,7 +108,7 @@ main()
         opts.delivery.backoff_jitter = 0.3;
         StreamingPipeline sp(pipe, cfg, link, opts);
         sp.setFaultInjector(&injector);
-        return sp.run();
+        return sp.run(RunOptions{ExecutionMode::ThreadedStages});
     };
 
     // Policy A: no retries — a lost attempt sheds the frame.

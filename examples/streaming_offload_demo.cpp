@@ -53,13 +53,16 @@ main()
         opts.frames = 200;
         opts.gating = GatingMode::None;
         StreamingPipeline fps_run(pipe, cfg, link, opts);
-        const double fps_meas = fps_run.run().model_fps;
+        const double fps_meas =
+            fps_run.run(RunOptions{ExecutionMode::ThreadedStages}).model_fps;
 
         opts.gating = GatingMode::Model;
         opts.pace_stages = false;
         opts.pace_link = false;
         StreamingPipeline e_run(pipe, cfg, link, opts);
-        const double jpf_meas = e_run.run().joules_per_frame.j();
+        const double jpf_meas =
+            e_run.run(RunOptions{ExecutionMode::ThreadedStages})
+                .joules_per_frame.j();
 
         std::printf("  %-4d %12.1f %12.1f %14.3e %14.3e\n", cut,
                     fps_pred, fps_meas, jpf_pred, jpf_meas);
@@ -82,7 +85,7 @@ main()
     sp.setFrameFill([&video](Frame &f) {
         f.image = video.frame(static_cast<int>(f.id)).image;
     });
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     const StageReport &motion = rep.stages.front();
     std::printf("  motion gate passed %lld / %lld frames (%.0f%%; "

@@ -213,7 +213,8 @@ CameraFleet::runThreaded(const RunOptions &options,
             static_cast<uint64_t>(n), static_cast<int>(n),
             [&](uint64_t c) {
                 try {
-                    reports[c] = pipes[c]->runInline();
+                    reports[c] = pipes[c]->run(
+                        RunOptions{ExecutionMode::Inline});
                 } catch (...) {
                     record(std::current_exception());
                 }

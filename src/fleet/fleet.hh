@@ -13,7 +13,7 @@
  * Threaded execution shapes (run(RunOptions) lists them all):
  *
  *  - *ThreadPerCamera*: one thread per camera runs the whole chain
- *    serially (StreamingPipeline::runInline). Token buckets refill in
+ *    serially (ExecutionMode::Inline). Token buckets refill in
  *    parallel wall time, so each camera still exhibits min(stage
  *    rates, granted link rate); a fleet scales to
  *    ThreadPool::kMaxWorkers cameras.

@@ -4,12 +4,12 @@
  * snapshot/diff semantics.
  *
  * The runtime's Telemetry probe is a fixed struct of atomics wired to
- * one pipeline; a fleet of labelled cameras, the fault layer's retry
- * families and the DES engine all want *named* series instead.
- * MetricsRegistry holds them: each metric is (name, label) — label
- * typically a camera name, empty for solo runs — registered once and
- * then updated through a cached handle, so the per-frame hot path
- * never touches the registry mutex or a map.
+ * one pipeline, and it is the run's live record; exports of a labelled
+ * fleet want *named* series instead. MetricsRegistry holds them: each
+ * metric is (name, label) — label typically a camera name, empty for
+ * solo runs. The registry is a sink: a StreamingPipeline publishes
+ * its series once, when its run finishes successfully, so no
+ * per-frame path touches the registry mutex or a map.
  *
  * Threading contract: Counter and Gauge are single-word atomics,
  * updatable from any thread. LogHistogram handles are single-writer

@@ -57,10 +57,17 @@ txSeq(int attempt, uint32_t offset)
 
 } // namespace
 
-/** Queues plus measurement state of one run (threaded or inline). */
+/**
+ * Queues plus the measurement state of one run (threaded or inline)
+ * that the Telemetry probe does not already hold. The probe is the
+ * run's record of sourced, delivered and link-dropped frames, local
+ * deliveries, transmission attempts, losses, retries, backoff, air
+ * bytes, radio energy and latency; finishRun() reads both.
+ */
 struct StreamingPipeline::RunState
 {
-    /** Mutable measurement state of one stage, owned by one thread. */
+    /** Mutable measurement state of one block stage, owned by one
+     *  thread. */
     struct StageState
     {
         int64_t in = 0;
@@ -71,24 +78,16 @@ struct StreamingPipeline::RunState
         int64_t retries = 0;          ///< compute re-executions
         double busy_seconds = 0.0;
         Energy energy;
-        DataSize bytes_sent;
-        double first_delivery = 0.0; ///< clock seconds
-        double last_delivery = 0.0;  ///< clock seconds
-        bool delivered_any = false;
     };
 
-    /** Delivery accounting, owned by the uplink stage's thread. */
+    /** Delivery accounting beyond the probe's, owned by the uplink
+     *  stage's thread. */
     struct LinkCounters
     {
-        int64_t attempts = 0;
-        int64_t losses = 0;
         int64_t retried_frames = 0;
-        int64_t delivered_remote = 0;
-        int64_t delivered_local = 0;
         int64_t probes = 0;
         int64_t probe_ok = 0;
         int64_t local_seq = 0; ///< degraded frames seen (probe cadence)
-        double backoff_s = 0.0;
         DataSize retry_bytes;
         DataSize delivered_payload; ///< remote payload (no retries)
         Energy retry_energy;
@@ -106,9 +105,13 @@ struct StreamingPipeline::RunState
     std::unique_ptr<TokenBucket> source_pacer;
     std::unique_ptr<TokenBucket> link_pacer;
 
-    std::vector<StageState> state;
+    std::vector<StageState> state; ///< one per pipeline block
+    int64_t source_crashed = 0;    ///< frames lost to crash windows
+    int64_t source_shutdown = 0;   ///< rejected by a closing queue
+    double first_delivery = 0.0;   ///< clock seconds
+    double last_delivery = 0.0;    ///< clock seconds
     LinkCounters lc;
-    /** End-to-end delivery latency (clock seconds), log-bucketed: the
+    /** End-to-end delivery latency (model seconds), log-bucketed: the
      *  report's percentiles come from here at ~4.4% relative error
      *  with O(buckets) memory instead of one double per delivery. */
     obs::LogHistogram latency_hist;
@@ -296,23 +299,9 @@ StreamingPipeline::setObs(const obs::ObsConfig &config, int camera,
                  "RuntimeOptions::trace_fps");
     ob = config;
     ob_camera = camera;
+    ob_label = label;
     if (ob.recorder != nullptr && !label.empty()) {
         ob.recorder->setCameraLabel(camera, label);
-    }
-    oh = ObsHandles{};
-    if (ob.registry != nullptr) {
-        obs::MetricsRegistry &reg = *ob.registry;
-        oh.sourced = &reg.counter("frames_sourced", label);
-        oh.frames_delivered = &reg.counter("frames_delivered", label);
-        oh.frames_dropped = &reg.counter("frames_dropped", label);
-        oh.attempts = &reg.counter("tx_attempts", label);
-        oh.losses = &reg.counter("tx_losses", label);
-        oh.retries = &reg.counter("retry_attempts", label);
-        oh.backoff = &reg.counter("backoff_seconds", label);
-        oh.bytes = &reg.counter("bytes_sent", label);
-        oh.energy = &reg.counter("comm_energy_j", label);
-        oh.latency = &reg.histogram("latency_s", label);
-        oh.qdepth = &reg.gauge("uplink_queue_depth", label);
     }
 }
 
@@ -370,7 +359,7 @@ StreamingPipeline::initRun()
     incam_assert(!consumed, "a StreamingPipeline instance is single-use");
     consumed = true;
     rs = std::make_unique<RunState>();
-    rs->state.resize(specs.size() + 2);
+    rs->state.resize(specs.size());
     rs->typical_bytes = PipelineEvaluator(pipe, net).cutBytes(cfg);
     rs->source_pacer =
         std::make_unique<TokenBucket>(makeSourcePacer());
@@ -411,7 +400,7 @@ StreamingPipeline::processBlockFrame(size_t b, Frame &f,
                                      double &pass_credit)
 {
     StageSpec &spec = specs[b];
-    RunState::StageState &st = rs->state[b + 1];
+    RunState::StageState &st = rs->state[b];
     ++st.in;
     const Epoch &ep = epochs[static_cast<size_t>(f.epoch)];
     const BlockPlan &plan = ep.plans[b];
@@ -489,9 +478,6 @@ StreamingPipeline::processBlockFrame(size_t b, Frame &f,
                       obsSeq(kSiteStage0 + 2 * static_cast<uint32_t>(b)),
                       attempt, 2, 0.0);
         }
-        if (oh.frames_dropped != nullptr) {
-            oh.frames_dropped->add(1.0);
-        }
         return false;
     }
     double pass_fraction = plan.pass_fraction;
@@ -541,9 +527,6 @@ StreamingPipeline::processBlockFrame(size_t b, Frame &f,
     }
     if (!pass) {
         ++st.dropped;
-        if (oh.frames_dropped != nullptr) {
-            oh.frames_dropped->add(1.0);
-        }
     }
     return pass;
 }
@@ -551,9 +534,7 @@ StreamingPipeline::processBlockFrame(size_t b, Frame &f,
 StreamingPipeline::TxPlan
 StreamingPipeline::planDelivery(const Frame &f)
 {
-    RunState::StageState &st = rs->state.back();
     RunState::LinkCounters &lc = rs->lc;
-    ++st.in;
     incam_assert(f.id > rs->last_id, "uplink saw frame ", f.id,
                  " after ", rs->last_id, ": SPSC ordering violated");
     rs->last_id = f.id;
@@ -607,17 +588,13 @@ void
 StreamingPipeline::finishDelivery(const Frame &f, const TxPlan &plan,
                                   const TxOutcome &out)
 {
-    RunState::StageState &st = rs->state.back();
     RunState::LinkCounters &lc = rs->lc;
     if (plan.attempt_remote) {
-        lc.attempts += out.attempts;
-        lc.losses += out.attempts - (out.remote_ok ? 1 : 0);
         if (out.attempts > 1) {
             ++lc.retried_frames;
         }
         lc.retry_bytes += out.retry_bytes;
         lc.retry_energy += out.retry_energy;
-        lc.backoff_s += out.backoff_seconds;
         if (plan.is_probe) {
             ++lc.probes;
             if (out.remote_ok) {
@@ -637,41 +614,20 @@ StreamingPipeline::finishDelivery(const Frame &f, const TxPlan &plan,
             probe.backoff_seconds.fetch_add(out.backoff_seconds,
                                             std::memory_order_relaxed);
         }
-        if (oh.attempts != nullptr) {
-            oh.attempts->add(static_cast<double>(out.attempts));
-            oh.losses->add(static_cast<double>(
-                out.attempts - (out.remote_ok ? 1 : 0)));
-            if (out.attempts > 1) {
-                oh.retries->add(
-                    static_cast<double>(out.attempts - 1));
-            }
-            oh.backoff->add(out.backoff_seconds);
-        }
     }
 
     // Air bytes: every attempt crossed the radio, so byte and energy
-    // totals (and their telemetry) carry the retries — the honest
-    // re-pricing the ledger then itemizes.
+    // totals carry the retries — the honest re-pricing the ledger then
+    // itemizes.
     const double air_bytes =
         f.bytes.b() * static_cast<double>(out.attempts);
-    st.energy += out.energy;
-    st.bytes_sent += DataSize::bytes(air_bytes);
     const double t1 = clk->now();
-    st.busy_seconds += t1 - plan.start_t;
     probe.bytes_sent.fetch_add(air_bytes, std::memory_order_relaxed);
     probe.comm_energy_j.fetch_add(out.energy.j(),
                                   std::memory_order_relaxed);
     if (!rs->queues.empty()) {
         probe.uplink_queue_depth.store(rs->queues.back()->depth(),
                                        std::memory_order_relaxed);
-        if (oh.qdepth != nullptr) {
-            oh.qdepth->set(static_cast<double>(
-                rs->queues.back()->depth()));
-        }
-    }
-    if (oh.bytes != nullptr) {
-        oh.bytes->add(air_bytes);
-        oh.energy->add(out.energy.j());
     }
 
     const bool delivered = out.remote_ok || plan.local_epoch;
@@ -685,38 +641,24 @@ StreamingPipeline::finishDelivery(const Frame &f, const TxPlan &plan,
     }
     if (!delivered) {
         // Retry budget spent: the frame is shed at the link.
-        ++st.dropped;
         probe.link_dropped.fetch_add(1, std::memory_order_relaxed);
-        if (oh.frames_dropped != nullptr) {
-            oh.frames_dropped->add(1.0);
-        }
         return;
     }
-    ++st.out;
     if (out.remote_ok) {
-        ++lc.delivered_remote;
         lc.delivered_payload += f.bytes;
     } else {
-        ++lc.delivered_local;
         probe.delivered_local.fetch_add(1, std::memory_order_relaxed);
     }
-    if (!st.delivered_any) {
-        st.delivered_any = true;
-        st.first_delivery = t1;
+    if (probe.delivered_frames.fetch_add(1, std::memory_order_relaxed) ==
+        0) {
+        rs->first_delivery = t1;
     }
-    st.last_delivery = t1;
+    rs->last_delivery = t1;
 
     const double latency = t1 - f.emit_s;
-    rs->latency_hist.record(latency);
-    probe.delivered_frames.fetch_add(1, std::memory_order_relaxed);
+    rs->latency_hist.record(latency / opts.time_scale);
     probe.latency_sum_s.fetch_add(latency, std::memory_order_relaxed);
     probe.latency_count.fetch_add(1, std::memory_order_relaxed);
-    if (oh.frames_delivered != nullptr) {
-        oh.frames_delivered->add(1.0);
-    }
-    if (oh.latency != nullptr) {
-        oh.latency->record(latency / opts.time_scale);
-    }
 }
 
 void
@@ -795,24 +737,10 @@ StreamingPipeline::makeLinkPacer() const
 void
 StreamingPipeline::sourceLoop()
 {
-    RunState::StageState &st = rs->state[0];
     FrameQueue &out = *rs->queues[0];
     for (int64_t id = 0; id < opts.frames && !pastDeadline(); ++id) {
         Frame f = makeSourceFrame(id, *rs->source_pacer);
-        if (injector != nullptr &&
-            injector->cameraDown(fault_camera, f.trace_time)) {
-            // Crash window: the camera is down, the frame never
-            // leaves it. The frame clock keeps advancing, so the
-            // restarted camera rejoins the schedule on time.
-            ++st.dropped;
-            if (ob.recorder != nullptr) {
-                obsRecord(obs::EventKind::Crash, f.id,
-                          obsT(f, f.emit_s), 0.0, obs::kTidSource,
-                          obsSeq(kSiteCrash), 0, 0, 0.0);
-            }
-            if (oh.frames_dropped != nullptr) {
-                oh.frames_dropped->add(1.0);
-            }
+        if (crashedAtSource(f)) {
             continue;
         }
         if (ob.recorder != nullptr && !ob.frame_time) {
@@ -821,12 +749,29 @@ StreamingPipeline::sourceLoop()
         if (!out.push(std::move(f))) {
             // Downstream shut down early: a clean reject, counted so
             // the loss ledger still balances.
-            ++st.shutdown_dropped;
+            ++rs->source_shutdown;
             break;
         }
-        ++st.out;
     }
     out.close();
+}
+
+bool
+StreamingPipeline::crashedAtSource(const Frame &f)
+{
+    if (injector == nullptr ||
+        !injector->cameraDown(fault_camera, f.trace_time)) {
+        return false;
+    }
+    // Crash window: the camera is down, the frame never leaves it.
+    // The frame clock keeps advancing, so the restarted camera rejoins
+    // the schedule on time.
+    ++rs->source_crashed;
+    if (ob.recorder != nullptr) {
+        obsRecord(obs::EventKind::Crash, f.id, obsT(f, f.emit_s), 0.0,
+                  obs::kTidSource, obsSeq(kSiteCrash), 0, 0, 0.0);
+    }
+    return true;
 }
 
 bool
@@ -840,8 +785,6 @@ StreamingPipeline::pastDeadline() const
 Frame
 StreamingPipeline::makeSourceFrame(int64_t id, TokenBucket &pacer)
 {
-    RunState::StageState &st = rs->state[0];
-    const double t0 = clk->now();
     Frame f;
     f.id = id;
     f.bytes = pipe.sourceBytes();
@@ -860,14 +803,10 @@ StreamingPipeline::makeSourceFrame(int64_t id, TokenBucket &pacer)
     pacer.acquire(1.0);
     f.emit_s = clk->now();
     probe.source_frames.fetch_add(1, std::memory_order_relaxed);
-    st.busy_seconds += f.emit_s - t0;
     if (ob.recorder != nullptr) {
         obsRecord(obs::EventKind::Source, f.id, obsT(f, f.emit_s),
                   0.0, obs::kTidSource, obsSeq(kSiteSource), 0, 0,
                   f.bytes.b());
-    }
-    if (oh.sourced != nullptr) {
-        oh.sourced->add(1.0);
     }
     return f;
 }
@@ -875,7 +814,7 @@ StreamingPipeline::makeSourceFrame(int64_t id, TokenBucket &pacer)
 void
 StreamingPipeline::blockLoop(size_t b)
 {
-    RunState::StageState &st = rs->state[b + 1];
+    RunState::StageState &st = rs->state[b];
     FrameQueue &in = *rs->queues[b];
     FrameQueue &out = *rs->queues[b + 1];
     Frame f;
@@ -1004,27 +943,16 @@ StreamingPipeline::nextFrame(Frame &f)
     }
     const int64_t id = rs->next_id++;
     f = makeSourceFrame(id, *rs->source_pacer);
-    if (injector != nullptr &&
-        injector->cameraDown(fault_camera, f.trace_time)) {
-        ++rs->state[0].dropped; // crash window: see sourceLoop
-        if (ob.recorder != nullptr) {
-            obsRecord(obs::EventKind::Crash, f.id, obsT(f, f.emit_s),
-                      0.0, obs::kTidSource, obsSeq(kSiteCrash), 0, 0,
-                      0.0);
-        }
-        if (oh.frames_dropped != nullptr) {
-            oh.frames_dropped->add(1.0);
-        }
+    if (crashedAtSource(f)) {
         return SourceStep::Skipped;
     }
-    ++rs->state[0].out;
     for (size_t b = 0; b < specs.size(); ++b) {
         if (!processBlockFrame(b, f, rs->stage_pacers[b],
                                rs->pacer_epochs[b],
                                rs->pass_credits[b])) {
             return SourceStep::Skipped;
         }
-        ++rs->state[b + 1].out;
+        ++rs->state[b].out;
     }
     return SourceStep::Emitted;
 }
@@ -1052,7 +980,7 @@ StreamingPipeline::run(const RunOptions &options)
         if (options.clock != nullptr) {
             setClock(options.clock);
         }
-        return runInline();
+        return runSerial();
       case ExecutionMode::ThreadPerCamera:
         incam_panic("ThreadPerCamera is a fleet shape: each camera "
                     "pipeline runs Inline on a pool thread — use "
@@ -1068,7 +996,7 @@ StreamingPipeline::run(const RunOptions &options)
         sim::VirtualClock vclock;
         setClock(&vclock);
         try {
-            RuntimeReport rep = runInline();
+            RuntimeReport rep = runSerial();
             clk = &sim::WallClock::shared(); // vclock dies here
             return rep;
         } catch (...) {
@@ -1081,15 +1009,7 @@ StreamingPipeline::run(const RunOptions &options)
 }
 
 RuntimeReport
-StreamingPipeline::run()
-{
-    RunOptions ro;
-    ro.mode = ExecutionMode::ThreadedStages;
-    return run(ro);
-}
-
-RuntimeReport
-StreamingPipeline::runInline()
+StreamingPipeline::runSerial()
 {
     beginEventRun(); // no queues: the chain runs as one serial loop
 
@@ -1147,29 +1067,30 @@ StreamingPipeline::finishRun()
 
     RuntimeReport rep;
     rep.config = cfg.toString(pipe);
-    const RunState::StageState &src = rs->state[0];
+    const auto count = [](const std::atomic<int64_t> &c) {
+        return c.load(std::memory_order_relaxed);
+    };
     // Offered = every frame the source clocked out, whether it was
     // forwarded, lost to a crash window, or rejected by a closing
     // queue — the ledger's anchor count.
-    rep.source_frames = src.out + src.dropped + src.shutdown_dropped;
-    const RunState::StageState &sink = rs->state.back();
-    rep.delivered_frames = sink.out;
-    const double end =
-        sink.delivered_any ? sink.last_delivery : clk->now();
+    rep.source_frames = count(probe.source_frames);
+    rep.delivered_frames = count(probe.delivered_frames);
+    const double end = rep.delivered_frames > 0 ? rs->last_delivery
+                                                : clk->now();
     rep.wall_seconds = end - rs->run_start;
-    if (sink.out >= 2) {
+    if (rep.delivered_frames >= 2) {
         rep.measured_fps =
-            static_cast<double>(sink.out - 1) /
-            (sink.last_delivery - sink.first_delivery);
+            static_cast<double>(rep.delivered_frames - 1) /
+            (rs->last_delivery - rs->first_delivery);
     } else if (rep.wall_seconds > 0.0) {
         rep.measured_fps =
-            static_cast<double>(sink.out) / rep.wall_seconds;
+            static_cast<double>(rep.delivered_frames) / rep.wall_seconds;
     }
     rep.model_fps = rep.measured_fps * opts.time_scale;
 
     const int n_epochs = epoch_count.load(std::memory_order_acquire);
     for (size_t b = 0; b < specs.size(); ++b) {
-        const RunState::StageState &st = rs->state[b + 1];
+        const RunState::StageState &st = rs->state[b];
         StageReport sr;
         // Label with the implementation the block actually ran on —
         // or "(mixed)" when an adaptive run moved the block between
@@ -1206,17 +1127,43 @@ StreamingPipeline::finishRun()
         rep.stages.push_back(std::move(sr));
     }
 
-    rep.link.frames_sent = rs->lc.delivered_remote;
-    rep.link.bytes_sent = sink.bytes_sent;
-    rep.link.energy = sink.energy;
+    // The loss ledger: every offered frame accounted to one fate.
+    const RunState::LinkCounters &lc = rs->lc;
+    LossLedger &lg = rep.ledger;
+    lg.offered = rep.source_frames;
+    lg.delivered = rep.delivered_frames;
+    lg.delivered_local = count(probe.delivered_local);
+    lg.delivered_remote = lg.delivered - lg.delivered_local;
+    lg.dropped_source = rs->source_crashed;
+    lg.dropped_link = count(probe.link_dropped);
+    lg.dropped_shutdown += rs->source_shutdown;
+    lg.dropped = lg.dropped_gated + lg.dropped_source +
+                 lg.dropped_link + lg.dropped_fault +
+                 lg.dropped_shutdown;
+    lg.retried_frames = lc.retried_frames;
+    lg.tx_attempts = count(probe.tx_attempts);
+    lg.tx_losses = count(probe.tx_losses);
+    lg.probe_attempts = lc.probes;
+    lg.probe_successes = lc.probe_ok;
+    lg.retry_bytes = lc.retry_bytes;
+    lg.retry_energy = lc.retry_energy;
+    lg.backoff_seconds =
+        probe.backoff_seconds.load(std::memory_order_relaxed);
+
+    const DataSize air_bytes = DataSize::bytes(
+        probe.bytes_sent.load(std::memory_order_relaxed));
+    rep.comm_energy = Energy::joules(
+        probe.comm_energy_j.load(std::memory_order_relaxed));
+    rep.link.frames_sent = lg.delivered_remote;
+    rep.link.bytes_sent = air_bytes;
+    rep.link.energy = rep.comm_energy;
     rep.link.peak_queue_depth =
         rs->queues.empty() ? 0 : rs->queues.back()->peakDepth();
     const double link_capacity =
         net.goodput().bytesPerSecond() / opts.time_scale *
         rep.wall_seconds;
     rep.link.utilization =
-        link_capacity > 0.0 ? sink.bytes_sent.b() / link_capacity : 0.0;
-    rep.comm_energy = sink.energy;
+        link_capacity > 0.0 ? air_bytes.b() / link_capacity : 0.0;
     if (rep.source_frames > 0) {
         rep.joules_per_frame =
             rep.total_energy() / static_cast<double>(rep.source_frames);
@@ -1224,36 +1171,12 @@ StreamingPipeline::finishRun()
 
     // Log-bucketed percentiles: within one bucket width (~4.4%) of
     // the exact nearest-rank value, at O(buckets) memory.
-    rep.latency_p50 =
-        rs->latency_hist.percentile(0.50) / opts.time_scale;
-    rep.latency_p95 =
-        rs->latency_hist.percentile(0.95) / opts.time_scale;
-    rep.latency_p99 =
-        rs->latency_hist.percentile(0.99) / opts.time_scale;
+    rep.latency_p50 = rs->latency_hist.percentile(0.50);
+    rep.latency_p95 = rs->latency_hist.percentile(0.95);
+    rep.latency_p99 = rs->latency_hist.percentile(0.99);
     rep.reconfigurations =
         epoch_count.load(std::memory_order_acquire) - 1;
 
-    // The loss ledger: every offered frame accounted to one fate.
-    const RunState::LinkCounters &lc = rs->lc;
-    LossLedger &lg = rep.ledger;
-    lg.offered = rep.source_frames;
-    lg.delivered_remote = lc.delivered_remote;
-    lg.delivered_local = lc.delivered_local;
-    lg.delivered = lc.delivered_remote + lc.delivered_local;
-    lg.dropped_source = src.dropped;
-    lg.dropped_link = sink.dropped;
-    lg.dropped_shutdown += src.shutdown_dropped;
-    lg.dropped = lg.dropped_gated + lg.dropped_source +
-                 lg.dropped_link + lg.dropped_fault +
-                 lg.dropped_shutdown;
-    lg.retried_frames = lc.retried_frames;
-    lg.tx_attempts = lc.attempts;
-    lg.tx_losses = lc.losses;
-    lg.probe_attempts = lc.probes;
-    lg.probe_successes = lc.probe_ok;
-    lg.retry_bytes = lc.retry_bytes;
-    lg.retry_energy = lc.retry_energy;
-    lg.backoff_seconds = lc.backoff_s;
     // Goodput after loss over the run's model-time span: the frame
     // clock's when one exists (deterministic), wall time otherwise.
     const double model_seconds =
@@ -1278,8 +1201,38 @@ StreamingPipeline::finishRun()
                  " link + ", lg.dropped_fault, " fault + ",
                  lg.dropped_shutdown, " shutdown)");
 
+    if (ob.registry != nullptr) {
+        publishMetrics(rep);
+    }
     rs.reset();
     return rep;
+}
+
+void
+StreamingPipeline::publishMetrics(const RuntimeReport &rep)
+{
+    // The run's series, once, under this camera's label.
+    // frames_dropped is every ledger drop but shutdown rejects.
+    obs::MetricsRegistry &reg = *ob.registry;
+    const LossLedger &lg = rep.ledger;
+    const auto add = [&](const char *name, double v) {
+        reg.counter(name, ob_label).add(v);
+    };
+    add("frames_sourced", static_cast<double>(lg.offered));
+    add("frames_delivered", static_cast<double>(lg.delivered));
+    add("frames_dropped",
+        static_cast<double>(lg.dropped - lg.dropped_shutdown));
+    add("tx_attempts", static_cast<double>(lg.tx_attempts));
+    add("tx_losses", static_cast<double>(lg.tx_losses));
+    add("retry_attempts",
+        static_cast<double>(
+            probe.retry_attempts.load(std::memory_order_relaxed)));
+    add("backoff_seconds", lg.backoff_seconds);
+    add("bytes_sent", rep.link.bytes_sent.b());
+    add("comm_energy_j", rep.comm_energy.j());
+    reg.gauge("uplink_queue_depth", ob_label)
+        .set(probe.uplink_queue_depth.load(std::memory_order_relaxed));
+    reg.histogram("latency_s", ob_label).merge(rs->latency_hist);
 }
 
 } // namespace incam

@@ -69,9 +69,6 @@ class Clock; // sim/clock.hh
 
 namespace obs {
 enum class EventKind : uint8_t; // obs/trace.hh
-class Counter;                  // obs/metrics.hh
-class Gauge;                    // obs/metrics.hh
-class LogHistogram;             // obs/histogram.hh
 }
 
 class TokenBucket;   // runtime/pacer.hh
@@ -208,15 +205,17 @@ enum class ExecutionMode
 {
     /**
      * One host thread per pipeline stage, bounded SPSC queues between
-     * them (the original run() shape). Real concurrency: frames
-     * pipeline across stages. Requires a wall clock.
+     * them. Real concurrency: frames pipeline across stages. Requires
+     * a wall clock.
      */
     ThreadedStages,
 
     /**
-     * The whole chain serially on the calling thread, no queues (the
-     * original runInline() shape). Works on any clock; on a
-     * VirtualClock the run executes in model time at memory speed.
+     * The whole chain serially on the calling thread, no queues.
+     * Token buckets accrue credit in parallel clock time, so the
+     * steady-state rate is still min(stage rates, link rate). Works on
+     * any clock; on a VirtualClock the run executes in model time at
+     * memory speed.
      */
     Inline,
 
@@ -264,7 +263,7 @@ struct RunOptions
      * so one recorder/registry collects the whole fleet. Equivalent to
      * calling StreamingPipeline::setObs before the run.
      */
-    obs::ObsConfig obs;
+    obs::ObsConfig obs{};
 };
 
 /**
@@ -273,6 +272,10 @@ struct RunOptions
  * feed adapt/ConditionEstimator computes windowed rates from. All
  * counters are cumulative since the start of the run; a sampler
  * differencing two snapshots gets exact per-window deltas.
+ *
+ * The probe is also the run's only record of these counts: each is
+ * written once per frame, and finishRun() builds the RuntimeReport,
+ * the LossLedger and the metrics-registry series from them.
  */
 struct Telemetry
 {
@@ -307,10 +310,8 @@ struct Telemetry
  * A runnable instance of one pipeline configuration.
  *
  * Build it, optionally attach real executors, traces, an adaptive
- * controller's tick and a frame fill callback, then run(). Each
- * instance is single-use: run() consumes the stream. Must not be
- * invoked from inside a thread-pool worker (stage loops need real
- * concurrency, not inline nesting).
+ * controller's tick and a frame fill callback, then run(RunOptions).
+ * Each instance is single-use: the run consumes the stream.
  */
 class StreamingPipeline
 {
@@ -413,14 +414,15 @@ class StreamingPipeline
     void setClock(sim::Clock *clock);
 
     /**
-     * Install observability sinks (see obs/obs.hh): events and metric
-     * updates carry @p camera as their identity (the exporter pid /
-     * per-camera metric label) and @p label names both. Must be called
-     * before the run starts; the sinks must outlive it. A RunOptions
-     * with an active ObsConfig installs itself here as camera 0; a
-     * fleet installs per camera. Every timestamp flows through the
-     * run's sim::Clock (or, with ObsConfig::frame_time, the frame
-     * clock) — src/obs never reads host time.
+     * Install observability sinks (see obs/obs.hh): events carry
+     * @p camera as their identity (the exporter pid) and @p label
+     * names it; the registry receives the run's series under @p label
+     * once, when the run finishes (an errored run publishes nothing).
+     * Must be called before the run starts; the sinks must outlive
+     * it. A RunOptions with an active ObsConfig installs itself here
+     * as camera 0; a fleet installs per camera. Every timestamp flows
+     * through the run's sim::Clock (or, with ObsConfig::frame_time,
+     * the frame clock) — src/obs never reads host time.
      */
     void setObs(const obs::ObsConfig &config, int camera = 0,
                 const std::string &label = "");
@@ -451,22 +453,6 @@ class StreamingPipeline
      */
     RuntimeReport run(const RunOptions &options);
 
-    /**
-     * Deprecated shape-specific entry point; forwards to
-     * run({ExecutionMode::ThreadedStages}). Prefer run(RunOptions).
-     */
-    RuntimeReport run();
-
-    /**
-     * Deprecated shape-specific entry point; forwards to
-     * run({ExecutionMode::Inline}) on the installed clock. One loop
-     * drives each frame source -> stages -> uplink with no queues;
-     * token buckets accrue credit in parallel wall time, so the
-     * steady-state rate is still min(stage rates, link rate). May be
-     * called from inside a thread-pool worker. Prefer run(RunOptions).
-     */
-    RuntimeReport runInline();
-
     // ------- fleet composition: externally scheduled stage loops -----
     // A fleet that wants *queued* stages for several pipelines inside
     // one fork-join job drives the phases itself: beginRun(), then
@@ -474,7 +460,8 @@ class StreamingPipeline
     // concurrently (they block on each other's queues), then
     // finishRun() assembles the report and rethrows the first error.
 
-    /** Concurrent stage loops run() needs: source + blocks + uplink. */
+    /** Concurrent stage loops a threaded run needs: source + blocks +
+     *  uplink. */
     int stageCount() const { return static_cast<int>(specs.size()) + 2; }
     void beginRun();
     void runStage(int stage);
@@ -486,7 +473,7 @@ class StreamingPipeline
     // steps exposed individually: beginEventRun() once, then repeat
     // { nextFrame() -> planDelivery() -> its own transmission schedule
     // -> finishDelivery() } until nextFrame() returns Done, then
-    // finishRun(). The split is exact: runInline() itself is now
+    // finishRun(). The split is exact: the Inline shape itself is
     // written in these same steps, which is what makes discrete-event
     // runs bit-identical to inline ones by construction.
 
@@ -583,13 +570,21 @@ class StreamingPipeline
     };
 
     void initRun();
-    /** The ThreadedStages body (the original run()). */
+    /** The ThreadedStages body. */
     RuntimeReport runThreaded();
+    /** The Inline body: one loop drives each frame source -> stages
+     *  -> uplink with no queues, in the event-composition steps. */
+    RuntimeReport runSerial();
     void sourceLoop();
     void blockLoop(size_t b);
     void uplinkLoop();
     /** RuntimeOptions::duration elapsed (always false when unset). */
     bool pastDeadline() const;
+    /** Is the camera in a crash window at @p f's emission? If so, @p f
+     *  is counted and traced as lost at the source. */
+    bool crashedAtSource(const Frame &f);
+    /** Add the finished run's series to the installed registry. */
+    void publishMetrics(const RuntimeReport &rep);
     /** Per-frame source body (shared by the threaded and inline
      *  shapes): construct, fill, tick, stamp, pace, account. */
     Frame makeSourceFrame(int64_t id, TokenBucket &pacer);
@@ -657,24 +652,6 @@ class StreamingPipeline
 
     Telemetry probe;
 
-    /** Resolved metric series handles for this camera's label, bound
-     *  once in setObs() so hot paths update through stable pointers
-     *  with no registry lookups. All null when no registry installed. */
-    struct ObsHandles
-    {
-        obs::Counter *sourced = nullptr;
-        obs::Counter *frames_delivered = nullptr;
-        obs::Counter *frames_dropped = nullptr;
-        obs::Counter *attempts = nullptr;
-        obs::Counter *losses = nullptr;
-        obs::Counter *retries = nullptr;
-        obs::Counter *backoff = nullptr;
-        obs::Counter *bytes = nullptr;
-        obs::Counter *energy = nullptr;
-        obs::LogHistogram *latency = nullptr;
-        obs::Gauge *qdepth = nullptr;
-    };
-
     /** Event timestamp for @p frame: the frame clock in frame_time
      *  mode (bit-deterministic across shapes), else @p clock_t. */
     double obsT(const Frame &frame, double clock_t) const;
@@ -705,8 +682,8 @@ class StreamingPipeline
     }
 
     obs::ObsConfig ob; ///< observability sinks; inactive by default
-    int ob_camera = 0; ///< event/metric identity (exporter pid)
-    ObsHandles oh;
+    int ob_camera = 0; ///< event identity (exporter pid)
+    std::string ob_label; ///< metric series label
 
     std::unique_ptr<RunState> rs;
     bool consumed = false;

@@ -14,7 +14,7 @@
  * The engine does not reimplement the pipeline. It drives the exact
  * per-frame steps StreamingPipeline exposes for event composition —
  * nextFrame() / planDelivery() / txAttemptLost() / txBackoffWait() /
- * finishDelivery() — which are the same steps runInline() executes,
+ * finishDelivery() — which are the same steps the Inline shape executes,
  * so a discrete-event run books frames through the same ledger and
  * telemetry code paths as every other execution shape. Stage and
  * source pacing happen *inside* nextFrame() against the camera's

@@ -101,7 +101,7 @@ TEST(Reconfigure, CutSwitchIsLosslessAndByteExact)
             sp.reconfigure(PipelineConfig::full(pipe, Impl::Asic, 1));
         }
     });
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     // Nothing lost, nothing duplicated across the switch.
     EXPECT_EQ(rep.source_frames, frames);
@@ -128,7 +128,7 @@ TEST(Reconfigure, ImplSwitchRepricesExactly)
             sp.reconfigure(PipelineConfig::full(pipe, Impl::Mcu, 1));
         }
     });
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_EQ(rep.delivered_frames, frames);
     EXPECT_NEAR(rep.stages[0].energy.uj(),
                 0.5 * flip_at + 40.0 * (frames - flip_at), 1e-6);
@@ -160,7 +160,7 @@ TEST(Reconfigure, GatedPipelineAccountsEveryFrameAcrossSwitches)
             sp.reconfigure(PipelineConfig::full(p, Impl::Asic, 2));
         }
     });
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_EQ(rep.source_frames, frames);
     EXPECT_EQ(rep.reconfigurations, 2);
     int64_t dropped = 0;
@@ -190,7 +190,7 @@ TEST(Reconfigure, EpochTableHoldsManySwitches)
         sp.reconfigure(
             PipelineConfig::full(pipe, Impl::Asic, id % 2 == 0 ? 1 : 0));
     });
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_EQ(rep.delivered_frames, frames);
     EXPECT_EQ(rep.reconfigurations, frames);
     // Even frames computed (100 B), odd frames streamed raw (1000 B).
@@ -397,7 +397,7 @@ TEST(Estimator, RunTelemetryExposesRetryPressure)
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
                          radioLink("lossy", 1e6, 1.0), opts);
     sp.setFaultInjector(&inj);
-    sp.run();
+    sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     const Telemetry &probe = sp.telemetry();
     const int64_t retries =
@@ -452,7 +452,7 @@ TEST(AdaptiveController, SwitchesCutWhenTheRadioPriceSteps)
     ctl.useNetworkTrace(&trace);
     ctl.attach(sp);
 
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_EQ(rep.delivered_frames, frames);
     EXPECT_EQ(ctl.switches(), 1);
     EXPECT_EQ(ctl.liveConfig().cut, 1);
@@ -490,7 +490,7 @@ TEST(AdaptiveController, HysteresisBlocksMarginalFlapping)
                            energyController(fps));
     ctl.useNetworkTrace(&trace);
     ctl.attach(sp);
-    sp.run();
+    sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_EQ(ctl.switches(), 0);
     EXPECT_EQ(ctl.liveConfig().cut, 0);
 }
@@ -518,7 +518,8 @@ TEST(AdaptiveController, DecisionsAreBitDeterministic)
         ctl->useNetworkTrace(&trace);
         ctl->attach(sp);
         const RuntimeReport rep =
-            threaded ? sp.run() : sp.runInline();
+            sp.run(RunOptions{threaded ? ExecutionMode::ThreadedStages
+                                       : ExecutionMode::Inline});
         return std::make_pair(std::move(ctl), rep.delivered_frames);
     };
 

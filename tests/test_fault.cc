@@ -259,7 +259,7 @@ TEST(FaultRuntime, RetryAccountingMatchesOfflineReplay)
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
                          radioLink("lossy", 1e6, 1.0), opts);
     sp.setFaultInjector(&inj);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     // Replay the oracle offline: the exact same draws the uplink saw.
     int64_t delivered = 0, attempts = 0, losses = 0, retried = 0;
@@ -323,7 +323,7 @@ TEST(FaultRuntime, MeasuredDeliveryTracksTheClosedForm)
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
                          radioLink("lossy", 1e6, 1.0), opts);
     sp.setFaultInjector(&inj);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     DeliveryModelPolicy pol;
     pol.max_retries = 3;
@@ -352,7 +352,7 @@ TEST(FaultRuntime, BlackoutAccountingIsExact)
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
                          radioLink("l", 1e6, 1.0), opts);
     sp.setFaultInjector(&inj);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     // Frames 40..79 sit inside [10, 20): every attempt lost, budget
     // spent, frame shed. Everything else delivers first try.
@@ -394,7 +394,9 @@ TEST(FaultRuntime, LedgerAgreesAcrossExecutionShapes)
                              PipelineConfig::full(pipe, Impl::Asic, 0),
                              radioLink("l", 1e6, 1.0), opts);
         sp.setFaultInjector(&inj);
-        return threaded ? sp.run() : sp.runInline();
+        return sp.run(RunOptions{threaded
+                                     ? ExecutionMode::ThreadedStages
+                                     : ExecutionMode::Inline});
     };
     const RuntimeReport a = run(true);
     const RuntimeReport b = run(false);
@@ -435,7 +437,7 @@ TEST(FaultRuntime, StageFaultPoliciesCountExactly)
                              PipelineConfig::full(pipe, Impl::Asic, 1),
                              radioLink("l", 1e6, 1.0), opts);
         sp.setFaultInjector(&inj);
-        return sp.run();
+        return sp.run(RunOptions{ExecutionMode::ThreadedStages});
     };
 
     // Drop policy: a single faulted draw sheds the frame.
@@ -493,7 +495,7 @@ TEST(FaultRuntime, WatchdogTreatsStallAsFault)
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 1),
                          radioLink("l", 1e6, 1.0), opts);
     sp.setFaultInjector(&inj);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     // Frames 20..39 sit in the stall window [5, 10): slowdown 3 >=
     // watchdog 2, so the watchdog sheds all of them; nothing else.
@@ -516,7 +518,7 @@ TEST(FaultRuntime, CameraCrashWindowDropsAtSource)
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
                          radioLink("l", 1e6, 1.0), opts);
     sp.setFaultInjector(&inj);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     // Frames 8..15 (t in [2, 4)) were offered but the camera was down.
     EXPECT_TRUE(rep.ledger.consistent());
@@ -530,7 +532,9 @@ TEST(FaultRuntime, CameraCrashWindowDropsAtSource)
                             PipelineConfig::full(pipe, Impl::Asic, 0),
                             radioLink("l", 1e6, 1.0), opts2);
     other.setFaultInjector(&inj, /*camera=*/1);
-    EXPECT_EQ(other.run().ledger.dropped_source, 0);
+    EXPECT_EQ(other.run(RunOptions{ExecutionMode::ThreadedStages})
+                  .ledger.dropped_source,
+              0);
 }
 
 // ---------------------------------------------------------------------
@@ -557,7 +561,7 @@ TEST(DegradeToLocal, BlackoutDegradesThenHealsLosslessly)
     AdaptiveController ctl(pipe, link, degradeController(fps));
     ctl.useFaultPlan(&plan);
     ctl.attach(sp);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     // Samples run before the decision they feed, so the loss EWMA sits
     // at 1 - e^-2.5 ~ 0.918 >= 0.9 at the t=22 decision (five loss-1
@@ -592,7 +596,8 @@ TEST(DegradeToLocal, BlackoutDegradesThenHealsLosslessly)
                             PipelineConfig::full(pipe, Impl::Asic, 0),
                             link, fopts);
     fixed.setFaultInjector(&inj);
-    const RuntimeReport frep = fixed.run();
+    const RuntimeReport frep =
+        fixed.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_TRUE(frep.ledger.consistent());
     EXPECT_EQ(frep.ledger.dropped_link, 80);
     EXPECT_GT(lg.delivered, frep.ledger.delivered);
@@ -622,7 +627,8 @@ TEST(DegradeToLocal, DecisionsAreBitDeterministicAcrossShapes)
         ctl->useFaultPlan(&plan);
         ctl->attach(sp);
         const RuntimeReport rep =
-            threaded ? sp.run() : sp.runInline();
+            sp.run(RunOptions{threaded ? ExecutionMode::ThreadedStages
+                                       : ExecutionMode::Inline});
         return std::make_pair(std::move(ctl), rep);
     };
     const auto [ctl_t, rep_t] = run(true);

@@ -452,7 +452,7 @@ TEST(ObsTrace, DegradeHealInstantsAlignWithTriggeringFrames)
     ob.frame_time = true;
     sp.setObs(ob);
     ctl.setObs(ob);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_EQ(ctl.switches(), 2);
     EXPECT_EQ(rep.reconfigurations, 2);
 
@@ -507,6 +507,180 @@ TEST(ObsTrace, DegradeHealInstantsAlignWithTriggeringFrames)
 }
 
 // ---------------------------------------------------------------------
+// Registry, Telemetry and report agree at the end of a run
+// ---------------------------------------------------------------------
+
+/** A two-block in-camera chain: a half-pass gate, then a reducer. */
+Pipeline
+gatedPipeline()
+{
+    Pipeline p("gated", DataSize::bytes(1000));
+    Block gate("Gate", /*optional=*/false, DataSize::bytes(1000));
+    gate.setPassFraction(0.5);
+    gate.addImpl(Impl::Asic,
+                 {Time::milliseconds(1), Energy::microjoules(10)});
+    p.add(gate);
+    Block reduce("Reduce", /*optional=*/false, DataSize::bytes(100));
+    reduce.addImpl(Impl::Asic,
+                   {Time::milliseconds(5), Energy::microjoules(50)});
+    p.add(reduce);
+    return p;
+}
+
+/** Every ledger cause fires: link loss past a one-retry budget, a
+ *  crash window on camera 0, Reduce faults under a Drop policy. */
+FaultPlan
+everyCausePlan()
+{
+    FaultPlan plan;
+    plan.seed = 29;
+    plan.tx_loss = 0.5;
+    plan.crashes = {{/*camera=*/0, Time::seconds(5.0),
+                     Time::seconds(2.0)}};
+    plan.stage_faults = {{/*block=*/1, /*fault_probability=*/0.2,
+                          /*slowdown=*/1.0, Time{}, Time{}}};
+    return plan;
+}
+
+/** Degrade to local delivery for frames [60, 90) from the source
+ *  tick, so delivered_local is non-zero too. */
+void
+degradeMidRun(StreamingPipeline &sp)
+{
+    const PipelineConfig cfg = sp.initialConfig();
+    sp.setSourceTick([&sp, cfg](int64_t id) {
+        if (id == 60) {
+            sp.reconfigure(cfg, /*deliver_local=*/true);
+        } else if (id == 90) {
+            sp.reconfigure(cfg, /*deliver_local=*/false);
+        }
+    });
+}
+
+/** The registry series under @p label must equal the run's ledger
+ *  and link totals. */
+void
+expectRegistryMatchesReport(const obs::MetricsSnapshot &snap,
+                            const std::string &label,
+                            const RuntimeReport &rep)
+{
+    const LossLedger &lg = rep.ledger;
+    const auto value = [&](const char *name) {
+        const obs::MetricValue *v = snap.find(name, label);
+        EXPECT_NE(v, nullptr) << name << " for '" << label << "'";
+        return v != nullptr ? v->value : -1.0;
+    };
+    EXPECT_EQ(value("frames_sourced"), static_cast<double>(lg.offered));
+    EXPECT_EQ(value("frames_delivered"),
+              static_cast<double>(lg.delivered));
+    EXPECT_EQ(value("frames_dropped"),
+              static_cast<double>(lg.dropped - lg.dropped_shutdown));
+    EXPECT_EQ(value("tx_attempts"), static_cast<double>(lg.tx_attempts));
+    EXPECT_EQ(value("tx_losses"), static_cast<double>(lg.tx_losses));
+    EXPECT_DOUBLE_EQ(value("backoff_seconds"), lg.backoff_seconds);
+    EXPECT_DOUBLE_EQ(value("bytes_sent"), rep.link.bytes_sent.b());
+    EXPECT_DOUBLE_EQ(value("comm_energy_j"), rep.comm_energy.j());
+    const obs::MetricValue *lat = snap.find("latency_s", label);
+    ASSERT_NE(lat, nullptr) << "latency_s for '" << label << "'";
+    EXPECT_EQ(lat->count, lg.delivered);
+}
+
+TEST(ObsMetrics, RegistryTelemetryAndLedgerAgreeInEveryShape)
+{
+    const Pipeline pipe = gatedPipeline();
+    const FaultInjector inj(everyCausePlan());
+    for (const ExecutionMode mode :
+         {ExecutionMode::ThreadedStages, ExecutionMode::Inline,
+          ExecutionMode::DiscreteEvent}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        RuntimeOptions opts = countingOptions(120);
+        opts.gating = GatingMode::Model;
+        opts.trace_fps = 10.0;
+        opts.delivery.max_retries = 1;
+        opts.delivery.probe_every = 4;
+        opts.stage_policy.on_fault = StageFaultAction::Drop;
+        StreamingPipeline sp(pipe,
+                             PipelineConfig::full(pipe, Impl::Asic, 2),
+                             radioLink("lossy", 1e6, 1.0), opts);
+        sp.setFaultInjector(&inj);
+        degradeMidRun(sp);
+        obs::MetricsRegistry reg;
+        RunOptions ro;
+        ro.mode = mode;
+        ro.obs.registry = &reg;
+        const RuntimeReport rep = sp.run(ro);
+
+        const LossLedger &lg = rep.ledger;
+        ASSERT_TRUE(lg.consistent());
+        EXPECT_GT(lg.dropped_gated, 0);
+        EXPECT_GT(lg.dropped_source, 0);
+        EXPECT_GT(lg.dropped_link, 0);
+        EXPECT_GT(lg.dropped_fault, 0);
+        EXPECT_GT(lg.delivered_local, 0);
+        EXPECT_GT(lg.delivered_remote, 0);
+
+        expectRegistryMatchesReport(reg.snapshot(), "", rep);
+
+        const Telemetry &t = sp.telemetry();
+        EXPECT_EQ(t.source_frames.load(), lg.offered);
+        EXPECT_EQ(t.delivered_frames.load(), lg.delivered);
+        EXPECT_EQ(t.delivered_local.load(), lg.delivered_local);
+        EXPECT_EQ(t.link_dropped.load(), lg.dropped_link);
+        EXPECT_EQ(t.tx_attempts.load(), lg.tx_attempts);
+        EXPECT_EQ(t.tx_losses.load(), lg.tx_losses);
+        EXPECT_EQ(t.latency_count.load(), lg.delivered);
+        EXPECT_DOUBLE_EQ(t.backoff_seconds.load(), lg.backoff_seconds);
+        EXPECT_DOUBLE_EQ(t.bytes_sent.load(), rep.link.bytes_sent.b());
+        EXPECT_DOUBLE_EQ(t.comm_energy_j.load(), rep.comm_energy.j());
+    }
+}
+
+TEST(ObsMetrics, FleetCamerasPublishUnderTheirOwnLabels)
+{
+    const Pipeline pipe = gatedPipeline();
+    const FaultInjector inj(everyCausePlan());
+    for (const ExecutionMode mode :
+         {ExecutionMode::ThreadPerCamera, ExecutionMode::DiscreteEvent}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        FleetOptions fopts;
+        fopts.pace_stages = false;
+        fopts.pace_link = false;
+        fopts.trace_fps = 10.0;
+        fopts.faults = &inj;
+        fopts.delivery.max_retries = 1;
+        fopts.delivery.probe_every = 4;
+        fopts.stage_policy.on_fault = StageFaultAction::Drop;
+        CameraFleet fleet(radioLink("shared", 8e6, 1.0), fopts);
+        // Different lengths and cuts, so swapped labels would show.
+        FleetCamera a("north", pipe,
+                      PipelineConfig::full(pipe, Impl::Asic, 2));
+        a.frames = 120;
+        a.customize = degradeMidRun;
+        fleet.addCamera(std::move(a));
+        FleetCamera b("south", pipe,
+                      PipelineConfig::full(pipe, Impl::Asic, 1));
+        b.frames = 80;
+        fleet.addCamera(std::move(b));
+
+        obs::MetricsRegistry reg;
+        RunOptions ro;
+        ro.mode = mode;
+        ro.obs.registry = &reg;
+        const FleetRunReport rep = fleet.run(ro);
+        ASSERT_EQ(rep.cameras.size(), 2u);
+        const obs::MetricsSnapshot snap = reg.snapshot();
+        for (const FleetCameraReport &cam : rep.cameras) {
+            SCOPED_TRACE(cam.name);
+            expectRegistryMatchesReport(snap, cam.name, cam.runtime);
+        }
+        EXPECT_NE(rep.cameras[0].runtime.ledger.offered,
+                  rep.cameras[1].runtime.ledger.offered);
+        // Nothing lands under the solo (empty) label.
+        EXPECT_EQ(snap.find("frames_sourced"), nullptr);
+    }
+}
+
+// ---------------------------------------------------------------------
 // RuntimeReport percentiles ride the histogram
 // ---------------------------------------------------------------------
 
@@ -534,7 +708,7 @@ TEST(ObsReport, WallClockPercentilesAreOrdered)
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 1),
                          radioLink("l", 1e6, 1.0),
                          countingOptions(100));
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_EQ(rep.delivered_frames, 100);
     EXPECT_GE(rep.latency_p50, 0.0);
     EXPECT_LE(rep.latency_p50, rep.latency_p95);

@@ -290,7 +290,8 @@ TEST(Runtime, MeasuredFpsMatchesModelAcrossFaCuts)
         opts.frames = 150;
         opts.gating = GatingMode::None; // throughput semantics
         StreamingPipeline sp(pipe, cfg, link, opts);
-        const RuntimeReport rep = sp.run();
+        const RuntimeReport rep =
+            sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
         EXPECT_EQ(rep.source_frames, 150);
         EXPECT_EQ(rep.delivered_frames, 150);
@@ -321,7 +322,8 @@ TEST(Runtime, MeasuredFpsMatchesModelAcrossVrCuts)
         opts.gating = GatingMode::None;
         opts.time_scale = 0.2;
         StreamingPipeline sp(pipe, cfg, link, opts);
-        const RuntimeReport rep = sp.run();
+        const RuntimeReport rep =
+            sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
         EXPECT_EQ(rep.delivered_frames, 50);
         EXPECT_LT(relError(rep.model_fps, expected), 0.15)
@@ -339,7 +341,7 @@ TEST(Runtime, SourcePacingThrottlesThePipeline)
     opts.gating = GatingMode::None;
     opts.source_fps = 120.0; // well under every block/link rate
     StreamingPipeline sp(pipe, cfg, wifiUplink(), opts);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_LT(relError(rep.model_fps, 120.0), 0.15);
 }
 
@@ -353,7 +355,7 @@ TEST(Runtime, DeterministicGatingIsExact)
     opts.gating = GatingMode::Model;
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe),
                          twentyFiveGbE(), opts);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     const int64_t after_coarse = gatedCount(frames, 0.25);
     const int64_t after_fine = gatedCount(after_coarse, 0.5);
@@ -376,7 +378,7 @@ TEST(Runtime, CleanShutdownLosesNoFrames)
     opts.gating = GatingMode::Model;
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe),
                          twentyFiveGbE(), opts);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     // Every emitted frame is accounted for: delivered or gated away.
     int64_t dropped = 0;
@@ -410,7 +412,8 @@ TEST(Runtime, EnergyMatchesAnalyticalModel)
         opts.pace_stages = false; // energy accounting needs no clock
         opts.pace_link = false;
         StreamingPipeline sp(pipe, cfg, link, opts);
-        const RuntimeReport rep = sp.run();
+        const RuntimeReport rep =
+            sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
         // Gating truncation (floor vs exact duty product) is the only
         // divergence, bounded by 1/frames per stage.
@@ -426,7 +429,7 @@ TEST(Runtime, EnergyMatchesAnalyticalModel)
     opts.pace_stages = false;
     opts.pace_link = false;
     StreamingPipeline sp(pipe, full_cfg, link, opts);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_LT(rep.comm_energy.j(),
               0.01 * rep.compute_energy.j());
 }
@@ -458,7 +461,7 @@ TEST(Runtime, RealMotionKernelGatesLikeTheDetector)
         [&video](Frame &f) {
             f.image = video.frame(static_cast<int>(f.id)).image;
         });
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     EXPECT_EQ(rep.stages[0].frames_out, expected_pass);
     EXPECT_EQ(rep.delivered_frames, expected_pass);
@@ -495,7 +498,7 @@ TEST(Runtime, RealCodecReportsActualEncodedBytes)
         [&video](Frame &f) {
             f.image = video.frame(static_cast<int>(f.id)).image;
         });
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
     EXPECT_EQ(rep.delivered_frames, video.frameCount());
     // The uplink charged exactly what the codec actually produced.
@@ -527,7 +530,7 @@ TEST(Runtime, ZeroByteCutStreamsWithoutPacingOrRadioCost)
     opts.pace_stages = false; // gating math only; pace_link stays on
     StreamingPipeline sp(p, PipelineConfig::full(p), backscatterUplink(),
                          opts);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_EQ(rep.delivered_frames, 50);
     EXPECT_DOUBLE_EQ(rep.link.bytes_sent.b(), 0.0);
     EXPECT_DOUBLE_EQ(rep.comm_energy.j(), 0.0);
@@ -546,7 +549,9 @@ TEST(Runtime, InlineRunMatchesThreadedCounts)
         opts.pace_link = false;
         StreamingPipeline sp(pipe, PipelineConfig::full(pipe),
                              twentyFiveGbE(), opts);
-        return inline_mode ? sp.runInline() : sp.run();
+        return sp.run(RunOptions{inline_mode
+                                     ? ExecutionMode::Inline
+                                     : ExecutionMode::ThreadedStages});
     };
     const RuntimeReport threaded = makeRun(false);
     const RuntimeReport inlined = makeRun(true);
@@ -581,7 +586,7 @@ TEST(Runtime, InlineMeasuredFpsMatchesModel)
     opts.frames = 150;
     opts.gating = GatingMode::None;
     StreamingPipeline sp(pipe, cfg, link, opts);
-    const RuntimeReport rep = sp.runInline();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::Inline});
     EXPECT_EQ(rep.delivered_frames, 150);
     EXPECT_LT(relError(rep.model_fps, expected), 0.15)
         << "measured " << rep.model_fps << " vs " << expected;
@@ -612,7 +617,8 @@ TEST(Runtime, ExecutorFailureShutsDownCleanly)
                          twentyFiveGbE(), opts);
     sp.setExecutor(1, std::make_unique<Bomb>());
     // The error propagates to the caller instead of hanging the join.
-    EXPECT_THROW(sp.run(), std::runtime_error);
+    EXPECT_THROW(sp.run(RunOptions{ExecutionMode::ThreadedStages}),
+                 std::runtime_error);
 }
 
 TEST(Runtime, LatencyPercentilesTrackTheServiceTime)
@@ -632,7 +638,7 @@ TEST(Runtime, LatencyPercentilesTrackTheServiceTime)
     opts.pace_link = false;
     StreamingPipeline sp(p, PipelineConfig::full(p),
                          twentyFiveGbE(), opts);
-    const RuntimeReport rep = sp.run();
+    const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
     EXPECT_EQ(rep.delivered_frames, 40);
     EXPECT_GT(rep.latency_p50, 0.005);
     EXPECT_LE(rep.latency_p50, rep.latency_p95);
@@ -648,8 +654,10 @@ TEST(Runtime, InstancesAreSingleUse)
     opts.pace_stages = false;
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe),
                          twentyFiveGbE(), opts);
-    (void)sp.run();
-    EXPECT_DEATH((void)sp.run(), "single-use");
+    (void)sp.run(RunOptions{ExecutionMode::ThreadedStages});
+    EXPECT_DEATH(
+        (void)sp.run(RunOptions{ExecutionMode::ThreadedStages}),
+        "single-use");
 }
 
 } // namespace
