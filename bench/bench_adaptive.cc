@@ -53,16 +53,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "adapt/controller.hh"
-#include "bench_common.hh"
 #include "core/network.hh"
 #include "core/optimizer.hh"
 #include "fa/scenario.hh"
 #include "fleet/shared_link.hh"
+#include "harness.hh"
 #include "runtime/runtime.hh"
 #include "sim/clock.hh"
 #include "trace/trace.hh"
@@ -71,6 +70,7 @@
 #include "workload/video.hh"
 
 using namespace incam;
+using namespace incam::bench;
 
 namespace {
 
@@ -458,11 +458,9 @@ runEnergyScenario(const std::string &name, const Pipeline &base,
     ctl.useContentTrace(c.content);
     ctl.attach(sp);
 
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = wallSeconds();
     const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
-    res.wall_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
+    res.wall_seconds = wallSeconds() - t0;
 
     res.lossless = rep.source_frames == opts.frames &&
                    rep.delivered_frames + totalDropped(rep) ==
@@ -536,13 +534,11 @@ runVrScenario(const std::string &name, const Conditions &c,
     });
     ctl.attach(sp);
 
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = wallSeconds();
     epoch = clk.now();
     link.start();
     const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
-    res.wall_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
+    res.wall_seconds = wallSeconds() - t0;
 
     res.lossless = rep.delivered_frames + totalDropped(rep) ==
                    rep.source_frames;
@@ -557,13 +553,9 @@ runVrScenario(const std::string &name, const Conditions &c,
 int
 main(int argc, char **argv)
 {
-    const bool quick =
-        argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+    const bool quick = parseQuick(argc, argv);
     banner("Adaptive offload under time-varying links",
            "best-static vs per-segment oracle vs online controller");
-    paperSays("the optimal compute-communicate cut is a function of "
-              "link conditions; under non-stationary links no static "
-              "cut stays optimal");
 
     const Pipeline fa = mcuFaPipeline();
     const double fa_fps = 4.0;
@@ -653,12 +645,13 @@ main(int argc, char **argv)
     }
 
     // ----------------------------- report + gates ------------------
+    Gates gates;
+    Json json("adaptive");
+    json.field("quick", quick).array("scenarios");
     std::printf("\n%-24s %13s %13s %13s %9s %8s\n", "scenario",
                 "static", "oracle", "adaptive", "vs-static", "gap");
-    bool all_pass = true;
     for (const ScenarioResult &r : results) {
-        const bool ok = r.pass();
-        all_pass = all_pass && ok;
+        const bool ok = gates.check(r.name, r.pass());
         if (r.energy_goal) {
             std::printf("%-24s %11.1fuJ %11.1fuJ %11.1fuJ %8.1f%% "
                         "%6.1f%%%s\n",
@@ -680,38 +673,22 @@ main(int argc, char **argv)
                     r.static_config.c_str(),
                     static_cast<long long>(r.switches),
                     r.lossless ? "yes" : "NO", r.wall_seconds);
+        json.item()
+            .field("name", r.name)
+            .field("goal", r.energy_goal ? "min-energy" : "max-fps")
+            .field("static_jpf_uj", r.stat.jpf_j * 1e6, 3)
+            .field("oracle_jpf_uj", r.oracle.jpf_j * 1e6, 3)
+            .field("adaptive_jpf_uj", r.adaptive.jpf_j * 1e6, 3)
+            .field("static_fps", r.stat.fps, 3)
+            .field("oracle_fps", r.oracle.fps, 3)
+            .field("adaptive_fps", r.adaptive.fps, 3)
+            .field("static_gain", r.staticGain(), 4)
+            .field("oracle_gap_energy", r.oracleGapEnergy(), 4)
+            .field("oracle_gap_fps", r.oracleGapFps(), 4)
+            .field("switches", r.switches).field("lossless", r.lossless)
+            .field("wall_s", r.wall_seconds, 3).end();
     }
+    json.print();
 
-    std::printf("\nBENCH_JSON {\"bench\":\"adaptive\",\"quick\":%s,"
-                "\"scenarios\":[",
-                quick ? "true" : "false");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const ScenarioResult &r = results[i];
-        std::printf(
-            "%s{\"name\":\"%s\",\"goal\":\"%s\","
-            "\"static_jpf_uj\":%.3f,\"oracle_jpf_uj\":%.3f,"
-            "\"adaptive_jpf_uj\":%.3f,\"static_fps\":%.3f,"
-            "\"oracle_fps\":%.3f,\"adaptive_fps\":%.3f,"
-            "\"static_gain\":%.4f,\"oracle_gap_energy\":%.4f,"
-            "\"oracle_gap_fps\":%.4f,\"switches\":%lld,"
-            "\"lossless\":%s,\"wall_s\":%.3f}",
-            i ? "," : "", r.name.c_str(),
-            r.energy_goal ? "min-energy" : "max-fps",
-            r.stat.jpf_j * 1e6, r.oracle.jpf_j * 1e6,
-            r.adaptive.jpf_j * 1e6, r.stat.fps, r.oracle.fps,
-            r.adaptive.fps, r.staticGain(), r.oracleGapEnergy(),
-            r.oracleGapFps(), static_cast<long long>(r.switches),
-            r.lossless ? "true" : "false", r.wall_seconds);
-    }
-    std::printf("]}\n");
-
-    if (!all_pass) {
-        std::fprintf(stderr, "\nbench_adaptive: GATES FAILED\n");
-        return 1;
-    }
-    std::printf("\nall gates passed: adaptive within %.0f%% of oracle "
-                "everywhere, ahead of best-static on every "
-                "non-stationary trace\n",
-                100.0 * kOracleTolerance);
-    return 0;
+    return gates.exitCode("bench_adaptive");
 }

@@ -33,47 +33,23 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "adapt/controller.hh"
-#include "bench_common.hh"
 #include "core/network.hh"
 #include "fault/fault.hh"
 #include "fault/loss_model.hh"
+#include "harness.hh"
 #include "runtime/runtime.hh"
 #include "trace/trace.hh"
 
 using namespace incam;
+using namespace incam::bench;
 
 namespace {
 
 constexpr double kModelTolerance = 0.10; ///< measured vs closed form
-
-NetworkLink
-radioLink(const std::string &name, double bytes_per_sec,
-          double nj_per_bit)
-{
-    NetworkLink l;
-    l.name = name;
-    l.bandwidth = Bandwidth::bytesPerSec(bytes_per_sec);
-    l.energy_per_bit = Energy::nanojoules(nj_per_bit);
-    return l;
-}
-
-/** The adaptive-test crossover pipeline: stream the raw 1000-byte
- *  frame (cut 0) or compute in camera for 50 uJ and ship 100 bytes. */
-Pipeline
-offloadablePipeline()
-{
-    Pipeline p("offloadable", DataSize::bytes(1000));
-    Block reduce("Reduce", /*optional=*/false, DataSize::bytes(100));
-    reduce.addImpl(Impl::Asic,
-                   {Time::milliseconds(5), Energy::microjoules(50)});
-    p.add(reduce);
-    return p;
-}
 
 RuntimeOptions
 countingOptions(int64_t frames, double trace_fps)
@@ -269,43 +245,47 @@ runBlackoutScenario()
 int
 main(int argc, char **argv)
 {
-    const bool quick =
-        argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+    const bool quick = parseQuick(argc, argv);
     banner("Fault injection and lossy-link recovery",
            "measured loss ledgers vs the closed-form delivery model");
-    paperSays("the cost model prices one lossless transmission per "
-              "delivered frame; its target deployments are the ones "
-              "where transmissions fail");
 
     const int64_t grid_frames = quick ? 400 : 2000;
     const double losses[] = {0.0, 0.1, 0.3, 0.5};
     const int retry_budgets[] = {0, 1, 3};
 
-    std::vector<GridResult> grid;
+    Gates gates;
+    Json json("faults");
+    json.field("quick", quick).array("grid");
     std::printf("\n%-6s %-8s %10s %10s %10s %10s %12s\n", "loss",
                 "retries", "delivered", "model-P", "attempts",
                 "bytes-r", "retry-uJ");
-    bool all_pass = true;
     for (double p : losses) {
         for (int r : retry_budgets) {
-            const GridResult cell = runGridCell(p, r, grid_frames);
-            const bool ok = cell.pass();
-            all_pass = all_pass && ok;
+            const GridResult c = runGridCell(p, r, grid_frames);
+            char name[48];
+            std::snprintf(name, sizeof name, "grid loss %.1f retries %d",
+                          p, r);
+            const bool ok = gates.check(name, c.pass());
             std::printf("%-6.2f %-8d %9.4f %10.4f %10.3f %10.3f "
                         "%12.1f%s\n",
-                        cell.loss, cell.retries, cell.deliveredFrac(),
-                        cell.model_p,
-                        static_cast<double>(cell.tx_attempts) /
-                            static_cast<double>(cell.offered),
-                        cell.bytesRatio(), cell.retry_energy_uj,
+                        c.loss, c.retries, c.deliveredFrac(), c.model_p,
+                        static_cast<double>(c.tx_attempts) /
+                            static_cast<double>(c.offered),
+                        c.bytesRatio(), c.retry_energy_uj,
                         ok ? "" : "  <-- GATE FAILED");
-            grid.push_back(cell);
+            json.item()
+                .field("loss", c.loss, 2).field("retries", c.retries)
+                .field("delivered_frac", c.deliveredFrac(), 4)
+                .field("model_p", c.model_p, 4)
+                .field("bytes_ratio", c.bytesRatio(), 4)
+                .field("retry_energy_uj", c.retry_energy_uj, 2)
+                .field("consistent", c.consistent).end();
         }
     }
+    json.end();
 
     const BlackoutResult bo = runBlackoutScenario();
-    const bool bo_ok = bo.pass();
-    all_pass = all_pass && bo_ok;
+    const bool bo_ok = gates.check("blackout recovery", bo.pass());
     std::printf("\nblackout (%.0f s dark of %.0f s): fixed %lld/%lld "
                 "(model %.3f)  adaptive %lld/%lld (%lld local, "
                 "%lld switches, healed=%s)%s\n",
@@ -320,40 +300,14 @@ main(int argc, char **argv)
                 static_cast<long long>(bo.switches),
                 bo.healed ? "yes" : "NO",
                 bo_ok ? "" : "  <-- GATE FAILED");
+    json.object("blackout")
+        .field("offered", bo.offered)
+        .field("fixed_delivered", bo.fixed_delivered)
+        .field("fixed_model_frac", bo.fixed_model_frac, 4)
+        .field("adaptive_delivered", bo.adaptive_delivered)
+        .field("adaptive_local", bo.adaptive_local)
+        .field("switches", bo.switches).field("healed", bo.healed).end();
+    json.print();
 
-    std::printf("\nBENCH_JSON {\"bench\":\"faults\",\"quick\":%s,"
-                "\"grid\":[",
-                quick ? "true" : "false");
-    for (size_t i = 0; i < grid.size(); ++i) {
-        const GridResult &c = grid[i];
-        std::printf("%s{\"loss\":%.2f,\"retries\":%d,"
-                    "\"delivered_frac\":%.4f,\"model_p\":%.4f,"
-                    "\"bytes_ratio\":%.4f,\"retry_energy_uj\":%.2f,"
-                    "\"consistent\":%s}",
-                    i ? "," : "", c.loss, c.retries, c.deliveredFrac(),
-                    c.model_p, c.bytesRatio(), c.retry_energy_uj,
-                    c.consistent ? "true" : "false");
-    }
-    std::printf("],\"blackout\":{\"offered\":%lld,"
-                "\"fixed_delivered\":%lld,\"fixed_model_frac\":%.4f,"
-                "\"adaptive_delivered\":%lld,\"adaptive_local\":%lld,"
-                "\"switches\":%lld,\"healed\":%s}}\n",
-                static_cast<long long>(bo.offered),
-                static_cast<long long>(bo.fixed_delivered),
-                bo.fixed_model_frac,
-                static_cast<long long>(bo.adaptive_delivered),
-                static_cast<long long>(bo.adaptive_local),
-                static_cast<long long>(bo.switches),
-                bo.healed ? "true" : "false");
-
-    if (!all_pass) {
-        std::fprintf(stderr, "\nbench_faults: GATES FAILED\n");
-        return 1;
-    }
-    std::printf("\nall gates passed: every ledger balanced, delivery "
-                "and air bytes within %.0f%% of the loss model, "
-                "adaptive recovery ahead of the fixed cut on the "
-                "blackout trace\n",
-                100.0 * kModelTolerance);
-    return 0;
+    return gates.exitCode("bench_faults");
 }

@@ -41,21 +41,20 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
 #include "core/fleet_model.hh"
 #include "core/network.hh"
 #include "fa/scenario.hh"
 #include "fleet/fleet.hh"
+#include "harness.hh"
 #include "vr/scenario.hh"
 
 using namespace incam;
+using namespace incam::bench;
 
 namespace {
 
@@ -304,11 +303,9 @@ measureDesPoint(int n, const Pipeline &fa_large,
                    std::lround(t_model * model.cameras[i].fps)));
         fleet.addCamera(std::move(cam));
     }
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = wallSeconds();
     const FleetRunReport run = fleet.run(des);
-    res.host_seconds += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+    res.host_seconds += wallSeconds() - t0;
     res.measured_agg_fps = run.aggregate_model_fps;
     res.model_seconds = run.wall_seconds;
     res.events = run.des_events;
@@ -337,11 +334,9 @@ measureDesPoint(int n, const Pipeline &fa_large,
             static_cast<double>(count_frames) *
             PipelineEvaluator(*s.pipeline, link).cutBytes(s.config).b();
     }
-    const auto t1 = std::chrono::steady_clock::now();
+    const double t1 = wallSeconds();
     const FleetRunReport counted = counting_fleet.run(des);
-    res.host_seconds += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t1)
-                            .count();
+    res.host_seconds += wallSeconds() - t1;
     res.events += counted.des_events;
     const int64_t expected_frames = count_frames * n;
     res.exact = counted.ledger.offered == expected_frames &&
@@ -356,21 +351,10 @@ measureDesPoint(int n, const Pipeline &fa_large,
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else {
-            std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
-            return 2;
-        }
-    }
-
+    const bool quick = parseQuick(argc, argv);
     banner("fleet vs model",
            "N cameras, one arbitrated uplink: measured shares held "
            "against the fleet model");
-    paperSays("one camera, one link; the deployments it motivates — "
-              "WISPCam swarms, VR rigs — share the medium");
     std::printf("mode: %s\n\n", quick ? "quick (CI smoke)" : "full");
 
     // The two FA flavours (two sensor geometries) and the VR rig.
@@ -430,12 +414,15 @@ main(int argc, char **argv)
                                        SharePolicy::Weighted, quick));
     }
 
+    Gates gates;
+    Json json("fleet");
+    json.field("quick", quick).array("points");
     std::printf("%-12s %4s %-9s %12s %12s %7s %9s %9s %7s\n", "link",
                 "cams", "policy", "pred aggFPS", "meas aggFPS", "err",
                 "worstFPS", "worstE", "wall");
-    bool within = true;
     for (const PointResult &r : results) {
-        within = within && r.within();
+        const bool ok = gates.check(
+            r.link_name + " x" + std::to_string(r.cameras), r.within());
         std::printf("%-12s %4d %-9s %12.2f %12.2f %6.1f%% %8.1f%% "
                     "%8.2f%% %6.2fs%s\n",
                     r.link_name.c_str(), r.cameras,
@@ -443,8 +430,19 @@ main(int argc, char **argv)
                     r.measured_agg_fps, 100.0 * r.aggError(),
                     100.0 * r.max_cam_fps_err,
                     100.0 * r.max_energy_err, r.wall_seconds,
-                    r.within() ? "" : "  <-- OUT OF TOLERANCE");
+                    ok ? "" : "  <-- OUT OF TOLERANCE");
+        json.item()
+            .field("link", r.link_name).field("cameras", r.cameras)
+            .field("policy", sharePolicyName(r.policy))
+            .field("predicted_agg_fps", r.predicted_agg_fps, 3)
+            .field("measured_agg_fps", r.measured_agg_fps, 3)
+            .field("agg_err", r.aggError(), 4)
+            .field("max_cam_fps_err", r.max_cam_fps_err, 4)
+            .field("max_energy_err", r.max_energy_err, 4)
+            .field("time_scale", r.time_scale, 5)
+            .field("wall_s", r.wall_seconds, 3).end();
     }
+    json.end().array("des_points");
 
     // ---- discrete-event scale sweep ----
     // Past the thread pool's reach: the same swarm at gateway scale,
@@ -459,11 +457,11 @@ main(int argc, char **argv)
     std::printf("%8s %12s %12s %7s %12s %10s %10s %6s\n", "cams",
                 "pred aggFPS", "meas aggFPS", "err", "model span",
                 "events", "events/s", "exact");
-    std::vector<DesPointResult> des_results;
     for (int n : des_counts) {
         const DesPointResult r =
             measureDesPoint(n, fa_large, fa_small, quick);
-        within = within && r.within();
+        const bool ok =
+            gates.check("DES x" + std::to_string(n), r.within());
         std::printf("%8d %12.3f %12.3f %6.2f%% %11.0fs %10lld %10.0f "
                     "%6s%s\n",
                     r.cameras, r.predicted_agg_fps,
@@ -471,51 +469,17 @@ main(int argc, char **argv)
                     r.model_seconds,
                     static_cast<long long>(r.events), r.eventsPerSec(),
                     r.exact ? "yes" : "NO",
-                    r.within() ? "" : "  <-- OUT OF TOLERANCE");
-        des_results.push_back(r);
+                    ok ? "" : "  <-- OUT OF TOLERANCE");
+        json.item()
+            .field("cameras", r.cameras)
+            .field("predicted_agg_fps", r.predicted_agg_fps, 4)
+            .field("measured_agg_fps", r.measured_agg_fps, 4)
+            .field("agg_err", r.aggError(), 5)
+            .field("model_s", r.model_seconds, 1).field("events", r.events)
+            .field("events_per_s", r.eventsPerSec(), 0).field("exact", r.exact)
+            .field("host_s", r.host_seconds, 3).end();
     }
+    json.print();
 
-    std::printf("\nBENCH_JSON {\"bench\":\"fleet\",\"quick\":%s,"
-                "\"points\":[",
-                quick ? "true" : "false");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const PointResult &r = results[i];
-        std::printf("%s{\"link\":\"%s\",\"cameras\":%d,"
-                    "\"policy\":\"%s\",\"predicted_agg_fps\":%.3f,"
-                    "\"measured_agg_fps\":%.3f,\"agg_err\":%.4f,"
-                    "\"max_cam_fps_err\":%.4f,\"max_energy_err\":%.4f,"
-                    "\"time_scale\":%.5f,\"wall_s\":%.3f}",
-                    i ? "," : "", r.link_name.c_str(), r.cameras,
-                    sharePolicyName(r.policy), r.predicted_agg_fps,
-                    r.measured_agg_fps, r.aggError(),
-                    r.max_cam_fps_err, r.max_energy_err, r.time_scale,
-                    r.wall_seconds);
-    }
-    std::printf("],\"des_points\":[");
-    for (size_t i = 0; i < des_results.size(); ++i) {
-        const DesPointResult &r = des_results[i];
-        std::printf("%s{\"cameras\":%d,\"predicted_agg_fps\":%.4f,"
-                    "\"measured_agg_fps\":%.4f,\"agg_err\":%.5f,"
-                    "\"model_s\":%.1f,\"events\":%lld,"
-                    "\"events_per_s\":%.0f,\"exact\":%s,"
-                    "\"host_s\":%.3f}",
-                    i ? "," : "", r.cameras, r.predicted_agg_fps,
-                    r.measured_agg_fps, r.aggError(), r.model_seconds,
-                    static_cast<long long>(r.events), r.eventsPerSec(),
-                    r.exact ? "true" : "false", r.host_seconds);
-    }
-    std::printf("]}\n");
-
-    if (!within) {
-        std::fprintf(stderr,
-                     "FAIL: at least one point strayed beyond %.0f%% "
-                     "aggregate FPS / %.0f%% energy tolerance, or a "
-                     "discrete-event point missed its agreement / "
-                     "exactness / %.0fk events-per-second gate\n",
-                     100.0 * kAggFpsTolerance,
-                     100.0 * kEnergyTolerance,
-                     kDesMinEventsPerSec / 1000.0);
-        return 1;
-    }
-    return 0;
+    return gates.exitCode("bench_fleet");
 }

@@ -34,26 +34,24 @@
  * Ends with one BENCH_JSON line; exits non-zero if any gate fails.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "adapt/controller.hh"
-#include "bench_common.hh"
 #include "core/network.hh"
 #include "fa/scenario.hh"
 #include "fault/fault.hh"
 #include "fleet/fleet.hh"
+#include "harness.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runtime/runtime.hh"
 
 using namespace incam;
+using namespace incam::bench;
 
 namespace {
 
@@ -69,54 +67,6 @@ constexpr double kMaxDesOverhead = 0.10;     ///< 1k-camera DES sweep
  * 4-vCPU Xeon.
  */
 constexpr double kMinDesSeconds = 0.5;
-
-double
-wallNow()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Best-of-repeats: host noise (scheduler, cron, page cache) only
- *  ever adds time, so the minimum is the least-contaminated sample of
- *  each arm — the standard estimator for an overhead ratio. */
-double
-best(const std::vector<double> &v)
-{
-    return *std::min_element(v.begin(), v.end());
-}
-
-/** Upper median (the middle sample for odd sizes). */
-double
-median(std::vector<double> v)
-{
-    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
-    std::nth_element(v.begin(), mid, v.end());
-    return *mid;
-}
-
-NetworkLink
-radioLink(const std::string &name, double bytes_per_sec,
-          double nj_per_bit)
-{
-    NetworkLink l;
-    l.name = name;
-    l.bandwidth = Bandwidth::bytesPerSec(bytes_per_sec);
-    l.energy_per_bit = Energy::nanojoules(nj_per_bit);
-    return l;
-}
-
-Pipeline
-offloadablePipeline()
-{
-    Pipeline p("offloadable", DataSize::bytes(1000));
-    Block reduce("Reduce", /*optional=*/false, DataSize::bytes(100));
-    reduce.addImpl(Impl::Asic,
-                   {Time::milliseconds(5), Energy::microjoules(50)});
-    p.add(reduce);
-    return p;
-}
 
 // ---------------------------------------------------------------------
 // FA paced rig: enabled vs disabled vs the A/A noise floor
@@ -163,9 +113,9 @@ runFaOnce(const Pipeline &fa, int cut, int64_t frames,
     RunOptions ro;
     ro.obs.recorder = rec;
     ro.obs.registry = reg;
-    const double t0 = wallNow();
+    const double t0 = wallSeconds();
     sp.run(ro);
-    return wallNow() - t0;
+    return wallSeconds() - t0;
 }
 
 FaCutResult
@@ -245,9 +195,9 @@ runDesOnce(const Pipeline &pipe, int n_cams, int64_t frames,
     RunOptions ro;
     ro.mode = ExecutionMode::DiscreteEvent;
     ro.obs.recorder = rec;
-    const double t0 = wallNow();
+    const double t0 = wallSeconds();
     const FleetRunReport rep = fleet.run(ro);
-    const double dt = wallNow() - t0;
+    const double dt = wallSeconds() - t0;
     if (delivered != nullptr) {
         *delivered = rep.ledger.delivered;
     }
@@ -387,43 +337,45 @@ writeDemoArtifacts()
 int
 main(int argc, char **argv)
 {
-    const bool quick =
-        argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+    const bool quick = parseQuick(argc, argv);
     banner("observability overhead",
            "per-frame tracing priced on the FA rig and a 1k-camera "
            "DES sweep");
-    paperSays("instrumentation is only trustworthy if it does not "
-              "perturb the system it measures — the disabled path "
-              "must be free, the enabled path cheap");
 
     const int64_t fa_frames = quick ? 200 : 400;
     const int fa_repeats = quick ? 3 : 5;
     const Pipeline fa = buildFaPipeline(nominalFaMeasurements());
 
-    std::vector<FaCutResult> fa_results;
+    Gates gates;
+    Json json("observability");
+    json.field("quick", quick).array("fa");
     std::printf("\nFA paced rig (%lld frames, best of %d):\n",
                 static_cast<long long>(fa_frames), fa_repeats);
     std::printf("%-5s %12s %12s %10s %10s %9s\n", "cut", "off [s]",
                 "on [s]", "overhead", "A/A", "events");
-    bool all_pass = true;
     for (const int cut : {0, 2, 3}) {
         const FaCutResult r =
             measureFaCut(fa, cut, fa_frames, fa_repeats);
-        const bool ok = r.pass();
-        all_pass = all_pass && ok;
+        const bool ok =
+            gates.check("FA cut " + std::to_string(cut), r.pass());
         std::printf("%-5d %12.4f %12.4f %9.1f%% %9.1f%% %9lld%s\n",
                     r.cut, r.disabled_s, r.enabled_s,
                     100.0 * r.overhead(), 100.0 * r.aaSpread(),
                     static_cast<long long>(r.events),
                     ok ? "" : "  <-- GATE FAILED");
-        fa_results.push_back(r);
+        json.item()
+            .field("cut", r.cut).field("disabled_s", r.disabled_s, 4)
+            .field("enabled_s", r.enabled_s, 4)
+            .field("overhead", r.overhead(), 4)
+            .field("aa_spread", r.aaSpread(), 4).field("events", r.events)
+            .end();
     }
+    json.end();
 
     const int des_cams = 1000;
     const int64_t des_frames = quick ? 40 : 120;
     const DesResult des = measureDes(des_cams, des_frames);
-    const bool des_ok = des.pass();
-    all_pass = all_pass && des_ok;
+    const bool des_ok = gates.check("DES sweep", des.pass());
     std::printf("\n%d-camera DES sweep (%lld frames/cam, median of %d "
                 "pairs): off %.4f s, on %.4f s (%.1f%% overhead), %lld "
                 "events at %.0f events/s, %lld dropped%s\n",
@@ -432,48 +384,24 @@ main(int argc, char **argv)
                 static_cast<long long>(des.events), des.eventsPerSec(),
                 static_cast<long long>(des.rec_dropped),
                 des_ok ? "" : "  <-- GATE FAILED");
+    json.object("des")
+        .field("cameras", des.cameras).field("frames", des_frames)
+        .field("pairs", des.pairs).field("disabled_s", des.disabled_s, 4)
+        .field("enabled_s", des.enabled_s, 4).field("overhead", des.overhead, 4)
+        .field("events", des.events)
+        .field("events_per_sec", des.eventsPerSec(), 0)
+        .field("dropped", des.rec_dropped).end();
 
     const DemoResult demo = writeDemoArtifacts();
-    const bool demo_ok = demo.wrote && demo.has_decisions;
-    all_pass = all_pass && demo_ok;
+    const bool demo_ok =
+        gates.check("demo artifacts", demo.wrote && demo.has_decisions);
     std::printf("\ndemo artifacts: obs_demo.trace.json (%zu bytes, "
                 "degrade/heal instants %s) + obs_demo.metrics.jsonl%s\n",
                 demo.trace_bytes,
                 demo.has_decisions ? "present" : "MISSING",
                 demo_ok ? "" : "  <-- GATE FAILED");
+    json.field("demo_trace_bytes", demo.trace_bytes);
+    json.print();
 
-    std::printf("\nBENCH_JSON {\"bench\":\"observability\","
-                "\"quick\":%s,\"fa\":[",
-                quick ? "true" : "false");
-    for (size_t i = 0; i < fa_results.size(); ++i) {
-        const FaCutResult &r = fa_results[i];
-        std::printf("%s{\"cut\":%d,\"disabled_s\":%.4f,"
-                    "\"enabled_s\":%.4f,\"overhead\":%.4f,"
-                    "\"aa_spread\":%.4f,\"events\":%lld}",
-                    i ? "," : "", r.cut, r.disabled_s, r.enabled_s,
-                    r.overhead(), r.aaSpread(),
-                    static_cast<long long>(r.events));
-    }
-    std::printf("],\"des\":{\"cameras\":%d,\"frames\":%lld,"
-                "\"pairs\":%d,"
-                "\"disabled_s\":%.4f,\"enabled_s\":%.4f,"
-                "\"overhead\":%.4f,\"events\":%lld,"
-                "\"events_per_sec\":%.0f,\"dropped\":%lld},"
-                "\"demo_trace_bytes\":%zu}\n",
-                des.cameras, static_cast<long long>(des_frames), des.pairs,
-                des.disabled_s, des.enabled_s, des.overhead,
-                static_cast<long long>(des.events), des.eventsPerSec(),
-                static_cast<long long>(des.rec_dropped),
-                demo.trace_bytes);
-
-    if (!all_pass) {
-        std::fprintf(stderr, "\nbench_observability: GATES FAILED\n");
-        return 1;
-    }
-    std::printf("\nall gates passed: enabled tracing within %.0f%% on "
-                "the FA rig, within %.0f%% on the DES sweep, disabled "
-                "within the %.0f%% noise floor, demo trace written\n",
-                100.0 * kMaxEnabledOverhead, 100.0 * kMaxDesOverhead,
-                100.0 * kMaxAaSpread);
-    return 0;
+    return gates.exitCode("bench_observability");
 }

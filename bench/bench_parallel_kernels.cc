@@ -17,45 +17,37 @@
  * --quick shrinks the workloads (CI smoke mode).
  */
 
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
 #include "bilateral/grid.hh"
 #include "common/rng.hh"
 #include "exec/parallel.hh"
+#include "harness.hh"
 #include "image/integral.hh"
 #include "nn/mlp.hh"
 #include "vj/detector.hh"
 
 using namespace incam;
+using namespace incam::bench;
 
 namespace {
-
-double
-msNow()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Best-of-@p reps wall time of @p fn, in milliseconds. */
 template <typename Fn>
 double
 bestMs(int reps, Fn &&fn)
 {
-    double best = 1e300;
+    std::vector<double> ms;
     for (int r = 0; r < reps; ++r) {
-        const double t0 = msNow();
+        const double t0 = wallSeconds();
         fn();
-        const double t1 = msNow();
-        best = std::min(best, t1 - t0);
+        ms.push_back(1e3 * (wallSeconds() - t0));
     }
-    return best;
+    return best(ms);
 }
 
 struct KernelResult
@@ -226,7 +218,6 @@ benchNnForward(int batch, int reps, const ExecPolicy &par)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
     int threads = 4;
     if (const char *env = std::getenv("INCAM_THREADS")) {
         const int n = std::atoi(env);
@@ -234,18 +225,16 @@ main(int argc, char **argv)
             threads = n;
         }
     }
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            threads = std::atoi(argv[++i]);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--threads N]\n", argv[0]);
+    const bool quick = parseQuick(
+        argc, argv,
+        [&threads](int n, char **arg) {
+            if (n < 2 || std::strcmp(arg[0], "--threads") != 0) {
+                return 0;
+            }
+            threads = std::atoi(arg[1]);
             return 2;
-        }
-    }
+        },
+        " [--threads N]");
     const ExecPolicy par{threads, 1};
 
     banner("parallel kernels",
@@ -263,35 +252,22 @@ main(int argc, char **argv)
     results.push_back(benchDetector(160 * scale, 120 * scale, reps, par));
     results.push_back(benchNnForward(64 * scale, reps, par));
 
+    Gates gates;
+    Json json("parallel_kernels");
+    json.field("threads", threads).field("quick", quick).array("results");
     std::printf("%-16s %12s %12s %10s %12s\n", "kernel", "serial (ms)",
                 "parallel (ms)", "speedup", "identical");
-    bool all_identical = true;
     for (const auto &r : results) {
+        gates.check(r.name + " bit-identical to serial", r.identical);
         std::printf("%-16s %12.3f %12.3f %9.2fx %12s\n", r.name.c_str(),
                     r.serial_ms, r.parallel_ms, r.speedup(),
                     r.identical ? "yes" : "MISMATCH");
-        all_identical = all_identical && r.identical;
+        json.item()
+            .field("kernel", r.name).field("serial_ms", r.serial_ms, 3)
+            .field("parallel_ms", r.parallel_ms, 3)
+            .field("speedup", r.speedup(), 3).field("identical", r.identical)
+            .end();
     }
-
-    // One-line JSON for BENCH_*.json trajectory tracking.
-    std::printf("\nBENCH_JSON {\"bench\":\"parallel_kernels\","
-                "\"threads\":%d,\"quick\":%s,\"results\":[",
-                threads, quick ? "true" : "false");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const auto &r = results[i];
-        std::printf("%s{\"kernel\":\"%s\",\"serial_ms\":%.3f,"
-                    "\"parallel_ms\":%.3f,\"speedup\":%.3f,"
-                    "\"identical\":%s}",
-                    i ? "," : "", r.name.c_str(), r.serial_ms,
-                    r.parallel_ms, r.speedup(),
-                    r.identical ? "true" : "false");
-    }
-    std::printf("]}\n");
-
-    if (!all_identical) {
-        std::fprintf(stderr, "FAIL: parallel output diverged from "
-                             "serial on at least one kernel\n");
-        return 1;
-    }
-    return 0;
+    json.print();
+    return gates.exitCode("bench_parallel_kernels");
 }

@@ -21,18 +21,18 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
 #include "core/network.hh"
 #include "core/pipeline.hh"
 #include "fa/scenario.hh"
+#include "harness.hh"
 #include "runtime/runtime.hh"
 #include "vr/scenario.hh"
 
 using namespace incam;
+using namespace incam::bench;
 
 namespace {
 
@@ -112,16 +112,7 @@ measureCut(const char *pipeline_name, const Pipeline &pipe,
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            quick = true;
-        } else {
-            std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
-            return 2;
-        }
-    }
-
+    const bool quick = parseQuick(argc, argv);
     banner("runtime vs model",
            "streaming execution held against the analytical reports");
     std::printf("mode: %s\n\n", quick ? "quick (CI smoke)" : "full");
@@ -149,14 +140,17 @@ main(int argc, char **argv)
             twentyFiveGbE(), quick ? 40 : 100, /*time_scale=*/0.2));
     }
 
+    Gates gates;
+    Json json("runtime_vs_model");
+    json.field("quick", quick).field("frames", frames).array("results");
     std::printf("%-10s %-28s %11s %11s %7s %11s %11s %7s\n", "pipeline",
                 "config", "pred FPS", "meas FPS", "err", "pred J/f",
                 "meas J/f", "err");
-    bool within = true;
     for (const auto &r : results) {
-        const bool cut_ok = r.fpsError() <= kFpsTolerance &&
-                            r.energyError() <= kEnergyTolerance;
-        within = within && cut_ok;
+        const bool cut_ok =
+            gates.check(r.pipeline + " " + r.config,
+                        r.fpsError() <= kFpsTolerance &&
+                            r.energyError() <= kEnergyTolerance);
         char energy_err[16];
         if (r.energyGated()) {
             std::snprintf(energy_err, sizeof energy_err, "%6.1f%%",
@@ -171,33 +165,16 @@ main(int argc, char **argv)
                     100.0 * r.fpsError(), r.predicted_jpf,
                     r.measured_jpf, energy_err,
                     cut_ok ? "" : "  <-- OUT OF TOLERANCE");
+        json.item()
+            .field("pipeline", r.pipeline).field("cut", r.cut)
+            .field("predicted_fps", r.predicted_fps, 3)
+            .field("measured_fps", r.measured_fps, 3)
+            .field("fps_err", r.fpsError(), 4)
+            .field("predicted_jpf", r.predicted_jpf)
+            .field("measured_jpf", r.measured_jpf)
+            .field("energy_err", r.energyError(), 4)
+            .field("energy_gated", r.energyGated()).end();
     }
-
-    // One-line JSON for BENCH_*.json trajectory tracking.
-    std::printf("\nBENCH_JSON {\"bench\":\"runtime_vs_model\","
-                "\"quick\":%s,\"frames\":%lld,\"results\":[",
-                quick ? "true" : "false",
-                static_cast<long long>(frames));
-    for (size_t i = 0; i < results.size(); ++i) {
-        const auto &r = results[i];
-        std::printf("%s{\"pipeline\":\"%s\",\"cut\":%d,"
-                    "\"predicted_fps\":%.3f,\"measured_fps\":%.3f,"
-                    "\"fps_err\":%.4f,\"predicted_jpf\":%.6e,"
-                    "\"measured_jpf\":%.6e,\"energy_err\":%.4f,"
-                    "\"energy_gated\":%s}",
-                    i ? "," : "", r.pipeline.c_str(), r.cut,
-                    r.predicted_fps, r.measured_fps, r.fpsError(),
-                    r.predicted_jpf, r.measured_jpf, r.energyError(),
-                    r.energyGated() ? "true" : "false");
-    }
-    std::printf("]}\n");
-
-    if (!within) {
-        std::fprintf(stderr,
-                     "FAIL: at least one cut strayed beyond %.0f%% FPS "
-                     "/ %.0f%% energy tolerance\n",
-                     100.0 * kFpsTolerance, 100.0 * kEnergyTolerance);
-        return 1;
-    }
-    return 0;
+    json.print();
+    return gates.exitCode("bench_runtime_vs_model");
 }

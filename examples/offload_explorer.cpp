@@ -57,7 +57,7 @@ exploreFa()
     std::printf("-- FA camera: local processing vs offload, by reader "
                 "distance --\n");
 
-    // Representative measured costs (see bench_fa_pipeline for the
+    // Representative measured costs (bench_paper's §III rows run the
     // full simulation): filtered pipeline ~1.1 uJ/frame in camera.
     const Energy local_per_frame = Energy::microjoules(1.13);
     const SensorModel sensor;

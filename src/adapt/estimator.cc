@@ -148,10 +148,11 @@ TelemetrySampler::sample(double t)
         src->bytes_sent.load(std::memory_order_relaxed);
     const double energy =
         src->comm_energy_j.load(std::memory_order_relaxed);
+    // Count first (acquire): the sum then covers every counted frame.
+    const int64_t lat_n =
+        src->delivered_frames.load(std::memory_order_acquire);
     const double lat_sum =
         src->latency_sum_s.load(std::memory_order_relaxed);
-    const int64_t lat_n =
-        src->latency_count.load(std::memory_order_relaxed);
     const int64_t g_in = src->gate_in.load(std::memory_order_relaxed);
     const int64_t g_pass =
         src->gate_pass.load(std::memory_order_relaxed);

@@ -67,9 +67,9 @@ Pipeline buildFaPipeline(const FaMeasurements &m);
  * Representative FA measurements without the ~90 s simulator runs:
  * the motion energy comes from the accelerator model directly, the
  * remaining figures are the values the full measureFa flow lands on
- * for the default scenario (see bench_fa_pipeline). For harnesses —
- * the streaming runtime, benches, examples — that need a realistic FA
- * pipeline cheaply, not a freshly measured one.
+ * for the default scenario (see bench_paper's §III rows). For
+ * harnesses — the streaming runtime, benches, examples — that need a
+ * realistic FA pipeline cheaply, not a freshly measured one.
  */
 FaMeasurements nominalFaMeasurements(int width = 160, int height = 120,
                                      int nn_input = 20);

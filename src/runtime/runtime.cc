@@ -649,16 +649,15 @@ StreamingPipeline::finishDelivery(const Frame &f, const TxPlan &plan,
     } else {
         probe.delivered_local.fetch_add(1, std::memory_order_relaxed);
     }
-    if (probe.delivered_frames.fetch_add(1, std::memory_order_relaxed) ==
+    const double latency = t1 - f.emit_s;
+    rs->latency_hist.record(latency / opts.time_scale);
+    // Sum, then release the count: a sampler never sees one alone.
+    probe.latency_sum_s.fetch_add(latency, std::memory_order_relaxed);
+    if (probe.delivered_frames.fetch_add(1, std::memory_order_release) ==
         0) {
         rs->first_delivery = t1;
     }
     rs->last_delivery = t1;
-
-    const double latency = t1 - f.emit_s;
-    rs->latency_hist.record(latency / opts.time_scale);
-    probe.latency_sum_s.fetch_add(latency, std::memory_order_relaxed);
-    probe.latency_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 void

@@ -287,8 +287,7 @@ struct Telemetry
     std::atomic<int64_t> gate_pass{0};
     std::atomic<double> bytes_sent{0.0};     ///< air bytes (all attempts)
     std::atomic<double> comm_energy_j{0.0};  ///< radio joules so far
-    std::atomic<double> latency_sum_s{0.0};  ///< wall end-to-end sum
-    std::atomic<int64_t> latency_count{0};
+    std::atomic<double> latency_sum_s{0.0};  ///< over delivered_frames
     std::atomic<int> uplink_queue_depth{0};  ///< depth at last delivery
     std::atomic<int64_t> tx_attempts{0};     ///< transmission attempts
     std::atomic<int64_t> tx_losses{0};       ///< attempts lost

@@ -255,7 +255,7 @@ TEST(Estimator, TelemetrySamplerComputesWindowDeltas)
     probe.gate_in.store(110);
     probe.gate_pass.store(30);
     probe.latency_sum_s.store(4.0);
-    probe.latency_count.store(8);
+    probe.delivered_frames.store(8);
     const ConditionSample s = sampler.sample(4.0);
     EXPECT_DOUBLE_EQ(s.goodput_bps, 2000.0 / 4.0);
     EXPECT_DOUBLE_EQ(s.energy_per_bit_j, 32e-6 / (2000.0 * 8.0));

@@ -628,7 +628,6 @@ TEST(ObsMetrics, RegistryTelemetryAndLedgerAgreeInEveryShape)
         EXPECT_EQ(t.link_dropped.load(), lg.dropped_link);
         EXPECT_EQ(t.tx_attempts.load(), lg.tx_attempts);
         EXPECT_EQ(t.tx_losses.load(), lg.tx_losses);
-        EXPECT_EQ(t.latency_count.load(), lg.delivered);
         EXPECT_DOUBLE_EQ(t.backoff_seconds.load(), lg.backoff_seconds);
         EXPECT_DOUBLE_EQ(t.bytes_sent.load(), rep.link.bytes_sent.b());
         EXPECT_DOUBLE_EQ(t.comm_energy_j.load(), rep.comm_energy.j());
