@@ -13,7 +13,9 @@
 #ifndef INCAM_COMMON_RNG_HH
 #define INCAM_COMMON_RNG_HH
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/logging.hh"
@@ -128,6 +130,52 @@ class Rng
     gaussian(double mean, double stddev)
     {
         return mean + stddev * gaussian();
+    }
+
+    /**
+     * Fill @p out with @p n standard normals: the same values, and the
+     * same generator state afterwards, as @p n calls to gaussian().
+     *
+     * Works a block of polar pairs at a time: draw and accept every
+     * pair's (u, v, s) in stream order, then take each pair's
+     * sqrt(-2 log s / s) — independent of the others, so the scalar
+     * log calls overlap — then interleave the outputs.
+     */
+    void
+    gaussians(double *out, size_t n)
+    {
+        size_t i = 0;
+        if (haveGauss && n > 0) {
+            haveGauss = false;
+            out[i++] = cachedGauss;
+        }
+        constexpr size_t kBlock = 64;
+        double us[kBlock], vs[kBlock], ss[kBlock];
+        while (i < n) {
+            const size_t pairs = std::min(kBlock, (n - i + 1) / 2);
+            // Branch-free acceptance: a rejected draw is overwritten.
+            for (size_t k = 0; k < pairs;) {
+                const double u = uniform(-1.0, 1.0);
+                const double v = uniform(-1.0, 1.0);
+                const double s = u * u + v * v;
+                us[k] = u;
+                vs[k] = v;
+                ss[k] = s;
+                k += (s < 1.0) & (s != 0.0);
+            }
+            for (size_t k = 0; k < pairs; ++k) {
+                ss[k] = std::sqrt(-2.0 * std::log(ss[k]) / ss[k]);
+            }
+            for (size_t k = 0; k < pairs; ++k) {
+                out[i++] = us[k] * ss[k];
+                if (i == n) {
+                    cachedGauss = vs[k] * ss[k];
+                    haveGauss = true;
+                    break;
+                }
+                out[i++] = vs[k] * ss[k];
+            }
+        }
     }
 
   private:

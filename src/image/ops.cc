@@ -23,8 +23,11 @@ toU8(const ImageF &in)
     const float *src = in.raw();
     uint8_t *dst = out.raw();
     for (size_t i = 0; i < in.sampleCount(); ++i) {
+        // std::lround, inline: the float product is in [0, 255], where
+        // adding 0.5 in double is exact and truncation is floor.
         const float v = std::clamp(src[i], 0.0f, 1.0f);
-        dst[i] = static_cast<uint8_t>(std::lround(v * 255.0f));
+        dst[i] = static_cast<uint8_t>(
+            static_cast<int>(static_cast<double>(v * 255.0f) + 0.5));
     }
     return out;
 }
@@ -204,9 +207,18 @@ normalize(const ImageF &in)
 void
 addGaussianNoise(ImageF &img, double stddev, Rng &rng)
 {
-    for (float &v : img) {
-        v = static_cast<float>(
-            std::clamp(v + rng.gaussian(0.0, stddev), 0.0, 1.0));
+    // gaussians() yields gaussian()'s stream; the sum keeps the
+    // bracketing of gaussian(0.0, stddev) so every pixel rounds alike.
+    constexpr size_t kBlock = 256;
+    double g[kBlock];
+    float *px = img.raw();
+    for (size_t i = 0, n = img.sampleCount(); i < n; i += kBlock) {
+        const size_t m = std::min(kBlock, n - i);
+        rng.gaussians(g, m);
+        for (size_t k = 0; k < m; ++k) {
+            px[i + k] = static_cast<float>(std::clamp(
+                px[i + k] + (0.0 + stddev * g[k]), 0.0, 1.0));
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 #include "workload/facegen.hh"
 
 #include <cmath>
+#include <vector>
 
 #include "image/ops.hh"
 
@@ -99,81 +100,172 @@ hardVariation(Rng &rng)
 namespace {
 
 /**
- * Shade one face pixel in normalized crop coordinates (u, v) in [0, 1].
- * Returns the pre-lighting intensity.
+ * Half-extent, along one axis, beyond which an ellipseField of radius
+ * @p radius on that axis is at least @p soft + 0.01 outside the edge,
+ * so smoothEdge(field, soft) is exactly 0 there and over() with that
+ * coverage returns its base unchanged.
  */
 double
-shadeFace(const FaceParams &id, const FaceVariation &var, double u, double v,
-          double background)
+edgeReach(double radius, double soft)
 {
-    // Framing: scale and offset the canonical face within the crop.
-    const double cu = 0.5 + var.dx;
-    const double cv = 0.52 + var.dy;
-    const double rx = 0.38 * var.scale;
-    const double ry = rx * id.face_aspect;
-
-    // Yaw shifts internal features horizontally relative to the head
-    // outline — a cheap but effective proxy for out-of-plane rotation.
-    const double feat_shift = var.yaw * 0.08;
-
-    const double soft = 0.015;
-
-    double value = background;
-
-    // Head.
-    const double head = ellipseField(u, v, cu, cv, rx, ry);
-    const double head_alpha = smoothEdge(head, soft);
-    // Subtle vertical skin shading: forehead slightly brighter than chin.
-    const double skin = id.skin_tone * (1.06 - 0.12 * (v - cv + ry) /
-                                                  (2.0 * ry));
-    value = over(value, skin, head_alpha);
-
-    // Hair: the upper cap of the head ellipse.
-    const double hair_line = cv - ry * (1.0 - 2.0 * id.hair_extent);
-    if (head_alpha > 0.0) {
-        const double hair_cov =
-            smoothEdge(v - hair_line, 0.02) * head_alpha;
-        value = over(value, id.hair_darkness, hair_cov);
-    }
-
-    // Eyes (and brows above them).
-    const double eye_y = cv - ry + 2.0 * ry * id.eye_height;
-    const double eye_dx = rx * id.eye_spacing * 2.6 * 0.5;
-    for (int side = -1; side <= 1; side += 2) {
-        const double ex = cu + side * eye_dx + feat_shift * rx;
-        const double er = id.eye_size * rx * 2.6;
-        const double eye =
-            ellipseField(u, v, ex, eye_y, er, er * 0.62);
-        value = over(value, id.eye_darkness, smoothEdge(eye, soft));
-
-        // Brow: a thin dark ellipse above the eye.
-        const double brow_y = eye_y - id.brow_offset * 2.0 * ry;
-        const double brow =
-            ellipseField(u, v, ex, brow_y, er * 1.25, er * 0.22);
-        value = over(value, id.brow_darkness, smoothEdge(brow, soft));
-    }
-
-    // Nose: a narrow vertical wedge from between the eyes downward.
-    const double nose_top = eye_y + 0.02;
-    const double nose_len = id.nose_length * 2.0 * ry;
-    const double nose_x = cu + feat_shift * rx * 1.4;
-    if (v >= nose_top && v <= nose_top + nose_len) {
-        const double t = (v - nose_top) / nose_len;
-        const double half_w = (0.015 + 0.035 * t) * rx * 2.6;
-        const double d = std::fabs(u - nose_x) - half_w;
-        value = over(value, id.nose_darkness, smoothEdge(d, soft));
-    }
-
-    // Mouth.
-    const double mouth_y = cv - ry + 2.0 * ry * id.mouth_height;
-    const double mouth_x = cu + feat_shift * rx * 1.2;
-    const double mouth = ellipseField(u, v, mouth_x, mouth_y,
-                                      id.mouth_width * rx * 1.3,
-                                      0.045 * ry);
-    value = over(value, id.mouth_darkness, smoothEdge(mouth, soft));
-
-    return value;
+    return radius * (1.01 + soft);
 }
+
+/** Centres (i + (s + 0.5) / ss) / size of the ss subpixels s of each of
+ *  the size pixels i of an axis, pixel-major. */
+std::vector<double>
+pixelCentres(int size, int ss = 1)
+{
+    std::vector<double> c(static_cast<size_t>(size) * ss);
+    for (int i = 0; i < size; ++i) {
+        for (int s = 0; s < ss; ++s) {
+            c[static_cast<size_t>(i) * ss + s] = (i + (s + 0.5) / ss) / size;
+        }
+    }
+    return c;
+}
+
+/**
+ * The pixels [lo, hi) of a size-pixel axis whose centres can lie
+ * within @p reach of @p centre, padded by one pixel on each side.
+ */
+struct Span
+{
+    int lo, hi;
+
+    Span(double centre, double reach, int size)
+        : lo(std::max(0, static_cast<int>(std::floor(
+                             (centre - reach) * size - 0.5)) - 1)),
+          hi(std::min(size, static_cast<int>(std::ceil(
+                                (centre + reach) * size - 0.5)) + 2))
+    {
+    }
+};
+
+/** An elliptical feature with a soft edge, and the box outside which it
+ *  paints nothing. */
+struct Feature
+{
+    double x = 0.0, y = 0.0, rx = 1.0, ry = 1.0, soft = 0.0;
+    double reach_x = 0.0, reach_y = 0.0;
+
+    Feature() = default;
+
+    Feature(double cx, double cy, double rx_, double ry_, double soft_)
+        : x(cx), y(cy), rx(rx_), ry(ry_), soft(soft_),
+          reach_x(edgeReach(rx_, soft_)), reach_y(edgeReach(ry_, soft_))
+    {
+    }
+
+    bool
+    reaches(double u, double v) const
+    {
+        return std::fabs(u - x) < reach_x && std::fabs(v - y) < reach_y;
+    }
+
+    /** Paint @p value over @p base at (u, v). */
+    double
+    paint(double base, double value, double u, double v) const
+    {
+        if (!reaches(u, v)) {
+            return base;
+        }
+        return over(base, value,
+                    smoothEdge(ellipseField(u, v, x, y, rx, ry), soft));
+    }
+};
+
+/**
+ * One face's geometry in normalized crop coordinates, computed once per
+ * face; shade() gives the pre-lighting intensity at (u, v) in [0, 1].
+ */
+struct FaceShape
+{
+    static constexpr double kSoft = 0.015;
+
+    const FaceParams &id;
+    Feature head, eyes[2], brows[2], mouth;
+    double hair_line, nose_top, nose_len, nose_x;
+
+    FaceShape(const FaceParams &p, const FaceVariation &var) : id(p)
+    {
+        // Framing: scale and offset the canonical face within the crop.
+        const double cu = 0.5 + var.dx;
+        const double cv = 0.52 + var.dy;
+        const double rx = 0.38 * var.scale;
+        const double ry = rx * id.face_aspect;
+        head = Feature(cu, cv, rx, ry, kSoft);
+
+        // Yaw shifts internal features horizontally relative to the head
+        // outline — a cheap but effective proxy for out-of-plane rotation.
+        const double feat_shift = var.yaw * 0.08;
+
+        // Hair: the upper cap of the head ellipse.
+        hair_line = cv - ry * (1.0 - 2.0 * id.hair_extent);
+
+        // Eyes (and brows above them).
+        const double eye_y = cv - ry + 2.0 * ry * id.eye_height;
+        const double eye_dx = rx * id.eye_spacing * 2.6 * 0.5;
+        for (int side = -1; side <= 1; side += 2) {
+            const double ex = cu + side * eye_dx + feat_shift * rx;
+            const double er = id.eye_size * rx * 2.6;
+            eyes[side > 0] = Feature(ex, eye_y, er, er * 0.62, kSoft);
+
+            // Brow: a thin dark ellipse above the eye.
+            const double brow_y = eye_y - id.brow_offset * 2.0 * ry;
+            brows[side > 0] =
+                Feature(ex, brow_y, er * 1.25, er * 0.22, kSoft);
+        }
+
+        // Nose: a narrow vertical wedge from between the eyes downward.
+        nose_top = eye_y + 0.02;
+        nose_len = id.nose_length * 2.0 * ry;
+        nose_x = cu + feat_shift * rx * 1.4;
+
+        // Mouth.
+        const double mouth_y = cv - ry + 2.0 * ry * id.mouth_height;
+        const double mouth_x = cu + feat_shift * rx * 1.2;
+        mouth = Feature(mouth_x, mouth_y, id.mouth_width * rx * 1.3,
+                        0.045 * ry, kSoft);
+    }
+
+    double
+    shade(double u, double v, double background) const
+    {
+        double value = background;
+
+        // Head.
+        if (head.reaches(u, v)) {
+            const double cv = head.y, ry = head.ry;
+            const double head_alpha = smoothEdge(
+                ellipseField(u, v, head.x, cv, head.rx, ry), kSoft);
+            // Subtle vertical skin shading: forehead slightly brighter
+            // than chin.
+            const double skin = id.skin_tone * (1.06 - 0.12 * (v - cv + ry) /
+                                                          (2.0 * ry));
+            value = over(value, skin, head_alpha);
+            if (head_alpha > 0.0) {
+                const double hair_cov =
+                    smoothEdge(v - hair_line, 0.02) * head_alpha;
+                value = over(value, id.hair_darkness, hair_cov);
+            }
+        }
+
+        for (int side = 0; side < 2; ++side) {
+            value = eyes[side].paint(value, id.eye_darkness, u, v);
+            value = brows[side].paint(value, id.brow_darkness, u, v);
+        }
+
+        if (v >= nose_top && v <= nose_top + nose_len) {
+            const double t = (v - nose_top) / nose_len;
+            const double half_w = (0.015 + 0.035 * t) * head.rx * 2.6;
+            const double d = std::fabs(u - nose_x) - half_w;
+            value = over(value, id.nose_darkness, smoothEdge(d, kSoft));
+        }
+
+        return mouth.paint(value, id.mouth_darkness, u, v);
+    }
+};
 
 } // namespace
 
@@ -182,26 +274,31 @@ renderFace(const FaceParams &id, const FaceVariation &var, int size)
 {
     incam_assert(size >= 4, "face crop too small: ", size);
     ImageF img(size, size, 1);
+    const FaceShape shape(id, var);
     // 2x supersampling for stable small-size rendering (the NN study uses
     // crops as small as 5x5).
     const int ss = 2;
+    const std::vector<double> sub = pixelCentres(size, ss);
+    // Background: soft gradient, distinct from skin.
+    std::vector<double> bg(sub.size());
+    for (size_t i = 0; i < sub.size(); ++i) {
+        bg[i] = 0.42 + 0.1 * sub[i];
+    }
     for (int y = 0; y < size; ++y) {
+        float *row = img.raw() + static_cast<size_t>(y) * size;
         for (int x = 0; x < size; ++x) {
             double acc = 0.0;
             for (int sy = 0; sy < ss; ++sy) {
+                const double v = sub[y * ss + sy];
                 for (int sx = 0; sx < ss; ++sx) {
-                    const double u = (x + (sx + 0.5) / ss) / size;
-                    const double v = (y + (sy + 0.5) / ss) / size;
-                    // Background: soft gradient, distinct from skin.
-                    const double bg = 0.42 + 0.1 * v;
-                    acc += shadeFace(id, var, u, v, bg);
+                    acc += shape.shade(sub[x * ss + sx], v, bg[y * ss + sy]);
                 }
             }
             double value = acc / (ss * ss);
             // Lighting: global gain plus a left-right gradient.
             const double u_mid = (x + 0.5) / size - 0.5;
             value *= var.illumination * (1.0 + var.light_gradient * u_mid);
-            img.at(x, y) = static_cast<float>(std::clamp(value, 0.0, 1.0));
+            row[x] = static_cast<float>(std::clamp(value, 0.0, 1.0));
         }
     }
     if (var.noise > 0.0) {
@@ -216,6 +313,8 @@ renderDistractor(uint64_t seed, int size)
 {
     Rng rng(0xd157ac7 ^ seed);
     ImageF img(size, size, 1);
+    float *px = img.raw();
+    const std::vector<double> centre = pixelCentres(size);
     const int kind = static_cast<int>(rng.below(4));
     switch (kind) {
       case 0: {
@@ -224,17 +323,19 @@ renderDistractor(uint64_t seed, int size)
         const double gy = rng.uniform(-1.0, 1.0);
         const double base = rng.uniform(0.2, 0.8);
         for (int y = 0; y < size; ++y) {
+            float *row = px + static_cast<size_t>(y) * size;
+            const double v = static_cast<double>(y) / size - 0.5;
             for (int x = 0; x < size; ++x) {
                 const double u = static_cast<double>(x) / size - 0.5;
-                const double v = static_cast<double>(y) / size - 0.5;
-                img.at(x, y) = static_cast<float>(
+                row[x] = static_cast<float>(
                     std::clamp(base + gx * u + gy * v, 0.0, 1.0));
             }
         }
         break;
       }
       case 1: {
-        // Random blobs (foliage-like clutter).
+        // Random blobs (foliage-like clutter). Each blob visits only the
+        // pixels its soft edge can reach.
         img.fill(static_cast<float>(rng.uniform(0.3, 0.7)));
         const int blobs = 4 + static_cast<int>(rng.below(6));
         for (int b = 0; b < blobs; ++b) {
@@ -242,32 +343,38 @@ renderDistractor(uint64_t seed, int size)
             const double cy = rng.uniform(0.0, 1.0);
             const double r = rng.uniform(0.08, 0.3);
             const double val = rng.uniform(0.1, 0.9);
-            for (int y = 0; y < size; ++y) {
-                for (int x = 0; x < size; ++x) {
-                    const double u = (x + 0.5) / size;
-                    const double v = (y + 0.5) / size;
-                    const double d = ellipseField(u, v, cx, cy, r, r);
+            const double reach = edgeReach(r, 0.05);
+            const Span xs(cx, reach, size), ys(cy, reach, size);
+            for (int y = ys.lo; y < ys.hi; ++y) {
+                float *row = px + static_cast<size_t>(y) * size;
+                const double v = centre[y];
+                for (int x = xs.lo; x < xs.hi; ++x) {
+                    const double d =
+                        ellipseField(centre[x], v, cx, cy, r, r);
                     const double a = smoothEdge(d, 0.05);
-                    img.at(x, y) = static_cast<float>(
-                        over(img.at(x, y), val, a));
+                    row[x] = static_cast<float>(over(row[x], val, a));
                 }
             }
         }
         break;
       }
       case 2: {
-        // Stripes (fences, blinds, brick courses).
+        // Stripes (fences, blinds, brick courses): one level per row or
+        // per column.
         const double period = rng.uniform(0.08, 0.35);
         const bool horizontal = rng.chance(0.5);
         const double lo = rng.uniform(0.1, 0.4);
         const double hi = rng.uniform(0.6, 0.9);
+        std::vector<float> level(size);
+        for (int i = 0; i < size; ++i) {
+            const double t = static_cast<double>(i) / size;
+            const double phase = std::fmod(t, period) / period;
+            level[i] = static_cast<float>(phase < 0.5 ? lo : hi);
+        }
         for (int y = 0; y < size; ++y) {
+            float *row = px + static_cast<size_t>(y) * size;
             for (int x = 0; x < size; ++x) {
-                const double t = horizontal
-                                     ? static_cast<double>(y) / size
-                                     : static_cast<double>(x) / size;
-                const double phase = std::fmod(t, period) / period;
-                img.at(x, y) = static_cast<float>(phase < 0.5 ? lo : hi);
+                row[x] = level[horizontal ? y : x];
             }
         }
         break;
@@ -275,19 +382,20 @@ renderDistractor(uint64_t seed, int size)
       default: {
         // Inverted-contrast pseudo-face: bright "eyes" on dark skin —
         // a hard negative that defeats naive threshold detectors.
+        const Feature eyes[2] = {Feature(0.5 - 0.17, 0.42, 0.09, 0.06, 0.02),
+                                 Feature(0.5 + 0.17, 0.42, 0.09, 0.06, 0.02)};
         for (int y = 0; y < size; ++y) {
+            float *row = px + static_cast<size_t>(y) * size;
+            const double v = centre[y];
             for (int x = 0; x < size; ++x) {
-                const double u = (x + 0.5) / size;
-                const double v = (y + 0.5) / size;
+                const double u = centre[x];
                 double value = 0.35;
                 const double head = ellipseField(u, v, 0.5, 0.52, 0.38, 0.46);
                 value = over(value, 0.28, smoothEdge(head, 0.02));
-                for (int side = -1; side <= 1; side += 2) {
-                    const double eye = ellipseField(
-                        u, v, 0.5 + side * 0.17, 0.42, 0.09, 0.06);
-                    value = over(value, 0.85, smoothEdge(eye, 0.02));
+                for (const Feature &eye : eyes) {
+                    value = eye.paint(value, 0.85, u, v);
                 }
-                img.at(x, y) = static_cast<float>(value);
+                row[x] = static_cast<float>(value);
             }
         }
         break;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hh"
 
 namespace incam {
@@ -108,6 +110,30 @@ TEST(Rng, GaussianScaled)
         sum += rng.gaussian(5.0, 2.0);
     }
     EXPECT_NEAR(sum / n, 5.0, 0.05);
+}
+
+TEST(Rng, GaussiansMatchTheScalarStream)
+{
+    for (const size_t n : {0, 1, 2, 3, 255, 256, 257, 400, 19200}) {
+        for (const bool cached : {false, true}) {
+            Rng batch(1000 + n), scalar(1000 + n);
+            if (cached) {
+                // Leaves the second value of a polar pair cached.
+                EXPECT_EQ(batch.gaussian(), scalar.gaussian());
+            }
+            std::vector<double> got(n);
+            batch.gaussians(got.data(), n);
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(got[i], scalar.gaussian())
+                    << "n " << n << " cached " << cached << " at " << i;
+            }
+            // The cache and the state the batch leaves behind.
+            for (int i = 0; i < 3; ++i) {
+                EXPECT_EQ(batch.gaussian(), scalar.gaussian())
+                    << "n " << n << " cached " << cached << " after " << i;
+            }
+        }
+    }
 }
 
 TEST(Rng, ChanceProbability)

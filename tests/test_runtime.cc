@@ -16,6 +16,7 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -439,12 +440,16 @@ TEST(Runtime, RealMotionKernelGatesLikeTheDetector)
     SecurityVideoConfig vcfg;
     vcfg.frames = 60;
     const SecurityVideo video(vcfg);
+    std::vector<ImageU8> frames;
+    for (int f = 0; f < video.frameCount(); ++f) {
+        frames.push_back(video.frame(f).image);
+    }
 
     // Reference: the serial detector over the same frames.
     MotionDetector reference;
     int64_t expected_pass = 0;
-    for (int f = 0; f < video.frameCount(); ++f) {
-        expected_pass += reference.update(video.frame(f).image) ? 1 : 0;
+    for (const ImageU8 &frame : frames) {
+        expected_pass += reference.update(frame) ? 1 : 0;
     }
     ASSERT_GT(expected_pass, 0);
     ASSERT_LT(expected_pass, video.frameCount());
@@ -458,8 +463,8 @@ TEST(Runtime, RealMotionKernelGatesLikeTheDetector)
     StreamingPipeline sp(pipe, cfg, wifiUplink(), opts);
     sp.setExecutor(0, std::make_unique<MotionGateExecutor>());
     sp.setFrameFill(
-        [&video](Frame &f) {
-            f.image = video.frame(static_cast<int>(f.id)).image;
+        [&frames](Frame &f) {
+            f.image = frames[static_cast<size_t>(f.id)];
         });
     const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
@@ -475,11 +480,14 @@ TEST(Runtime, RealCodecReportsActualEncodedBytes)
     SecurityVideoConfig vcfg;
     vcfg.frames = 20;
     const SecurityVideo video(vcfg);
+    std::vector<ImageU8> frames;
+    for (int f = 0; f < video.frameCount(); ++f) {
+        frames.push_back(video.frame(f).image);
+    }
 
     double expected_bytes = 0.0;
-    for (int f = 0; f < video.frameCount(); ++f) {
-        expected_bytes +=
-            LosslessCodec::encode(video.frame(f).image).byteSize().b();
+    for (const ImageU8 &frame : frames) {
+        expected_bytes += LosslessCodec::encode(frame).byteSize().b();
     }
 
     Pipeline pipe("compress-then-ship", video.frameBytes());
@@ -495,8 +503,8 @@ TEST(Runtime, RealCodecReportsActualEncodedBytes)
                          opts);
     sp.setExecutor(0, std::make_unique<EncodeExecutor>(/*lossless*/ 0));
     sp.setFrameFill(
-        [&video](Frame &f) {
-            f.image = video.frame(static_cast<int>(f.id)).image;
+        [&frames](Frame &f) {
+            f.image = frames[static_cast<size_t>(f.id)];
         });
     const RuntimeReport rep = sp.run(RunOptions{ExecutionMode::ThreadedStages});
 
