@@ -279,19 +279,16 @@ renderFace(const FaceParams &id, const FaceVariation &var, int size)
     // crops as small as 5x5).
     const int ss = 2;
     const std::vector<double> sub = pixelCentres(size, ss);
-    // Background: soft gradient, distinct from skin.
-    std::vector<double> bg(sub.size());
-    for (size_t i = 0; i < sub.size(); ++i) {
-        bg[i] = 0.42 + 0.1 * sub[i];
-    }
     for (int y = 0; y < size; ++y) {
         float *row = img.raw() + static_cast<size_t>(y) * size;
         for (int x = 0; x < size; ++x) {
             double acc = 0.0;
             for (int sy = 0; sy < ss; ++sy) {
                 const double v = sub[y * ss + sy];
+                // Background: soft gradient, distinct from skin.
+                const double bg = 0.42 + 0.1 * v;
                 for (int sx = 0; sx < ss; ++sx) {
-                    acc += shape.shade(sub[x * ss + sx], v, bg[y * ss + sy]);
+                    acc += shape.shade(sub[x * ss + sx], v, bg);
                 }
             }
             double value = acc / (ss * ss);
